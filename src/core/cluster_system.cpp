@@ -17,6 +17,10 @@ using workload::RequestState;
 
 namespace {
 
+/** Bounded-lag window quantum (simulated seconds): pods advance in
+ *  windows of max(lookahead, kLpWindow) between hub events. */
+constexpr double kLpWindow = 1e-3;
+
 hw::Topology
 make_cluster_topology(const ClusterConfig &cfg)
 {
@@ -80,14 +84,14 @@ ClusterServeSystem::ClusterServeSystem(ClusterConfig cfg)
 
         PodHooks hooks;
         hooks.on_finished = [this, k](Request *r) {
-            // Balancer accounting lives on the hub. Mid-window the pod
-            // may not touch it: ship a zero-delay message instead (the
+            // Balancer accounting lives on the hub, whose clock trails
+            // a pod mid-window: ship a zero-delay message instead (the
             // release lands at the exact finish timestamp).
             if (!lp_ || lp_->in_hub_phase()) {
                 retire_finished(r);
                 return;
             }
-            lp_->post(k, pod_sims_[k]->now(),
+            lp_->post(pod_sims_[k]->now(),
                       [this, r] { retire_finished(r); });
         };
         hooks.offload_decode = [this](Pod &p, Request *r) {
@@ -108,7 +112,7 @@ ClusterServeSystem::ClusterServeSystem(ClusterConfig cfg)
                     faults()->note_decode_ready(r);
                     return;
                 }
-                lp_->post(p.index(), pod_sims_[p.index()]->now(),
+                lp_->post(pod_sims_[p.index()]->now(),
                           [this, r] { faults()->note_decode_ready(r); });
             };
         }
@@ -171,7 +175,7 @@ ClusterServeSystem::ClusterServeSystem(ClusterConfig cfg)
         ctrl_ = std::make_unique<ctrl::ControlPlane>(sim_, cc);
         // KV-directory coherence: each pod's BackupRegistry publishes
         // backup growth / drops / crash wipes into the cluster-wide
-        // directory. The directory lives on the hub, so pod-thread
+        // directory. The directory lives on the hub, so pod-side
         // notifications travel as timestamped hub messages mid-window.
         for (std::size_t k = 0; k < pods_.size(); ++k) {
             kvcache::BackupRegistry::Listener lis;
@@ -183,7 +187,7 @@ ClusterServeSystem::ClusterServeSystem(ClusterConfig cfg)
                 if (!lp_ || lp_->in_hub_phase())
                     fn();
                 else
-                    lp_->post(k, pod_sims_[k]->now(), fn);
+                    lp_->post(pod_sims_[k]->now(), fn);
             };
             lis.on_drop = [this, k](kvcache::ReqId id) {
                 auto fn = [this, k, id] {
@@ -192,7 +196,7 @@ ClusterServeSystem::ClusterServeSystem(ClusterConfig cfg)
                 if (!lp_ || lp_->in_hub_phase())
                     fn();
                 else
-                    lp_->post(k, pod_sims_[k]->now(), fn);
+                    lp_->post(pod_sims_[k]->now(), fn);
             };
             lis.on_clear = [this, k] {
                 auto fn = [this, k] {
@@ -201,7 +205,7 @@ ClusterServeSystem::ClusterServeSystem(ClusterConfig cfg)
                 if (!lp_ || lp_->in_hub_phase())
                     fn();
                 else
-                    lp_->post(k, pod_sims_[k]->now(), fn);
+                    lp_->post(pod_sims_[k]->now(), fn);
             };
             pods_[k]->backup_registry().set_listener(std::move(lis));
         }
@@ -280,18 +284,18 @@ ClusterServeSystem::retire_finished(Request *r)
 bool
 ClusterServeSystem::maybe_offload(Pod &src, Request *r)
 {
-    if (!cfg_.allow_cross_pod || pods_.size() < 2)
+    if (pods_.size() < 2)
         return false;
     const std::size_t k = src.index();
-    // Local-only admission test — the pod's own thread may not read
-    // remote pod state mid-window. The remote scan happens on the hub
-    // timeline one control-latency later, when every pod's state at
-    // that timestamp is exact.
+    // Local-only admission test — mid-window, remote pods sit at other
+    // timestamps, so their state is off limits. The remote scan happens
+    // on the hub timeline one control-latency later, when every pod's
+    // state at that timestamp is exact.
     if (!src.decode_instance().is_down() &&
         src.decode_instance().kv_used_fraction() < cfg_.offload_highwater)
         return false;
     src.hold_for_offload(r);
-    lp_->post(k, pod_sims_[k]->now() + ctl_latency_,
+    lp_->post(pod_sims_[k]->now() + ctl_latency_,
               [this, k, r, inc = r->incarnation] {
                   if (!ctrl_) {
                       decide_offload(k, r, inc);
@@ -370,7 +374,7 @@ ClusterServeSystem::decide_offload(std::size_t k, Request *r,
 bool
 ClusterServeSystem::maybe_redispatch_remote(Pod &src, Request *r)
 {
-    if (!cfg_.allow_cross_pod || pods_.size() < 2)
+    if (pods_.size() < 2)
         return false;
     // The pod handles its own recovery while either instance lives.
     if (!src.prefill_instance().is_down() ||
@@ -408,9 +412,9 @@ ClusterServeSystem::wire_trace(obs::TraceRecorder &rec)
 {
     trace_master_ = &rec;
     if (!pod_sims_.empty()) {
-        // Each logical process records into a private shard (its own
-        // timebase, written only by its own thread); replay() absorbs
-        // the shards back into the master in pod order.
+        // Each logical process records into a private shard on its own
+        // timebase; replay() absorbs the shards back into the master in
+        // pod order, which fixes the export byte order.
         trace_shards_.reserve(pods_.size());
         for (std::size_t k = 0; k < pods_.size(); ++k) {
             trace_shards_.push_back(
@@ -496,7 +500,7 @@ ClusterServeSystem::wire_telemetry(obs::Telemetry &t)
     telemetry_tick_ = std::max(t.config().sample_every, 0.0);
     if (!pod_sims_.empty()) {
         for (auto &s : pod_sims_)
-            t.arm_lp(*s); // attribute pod-thread events to the profiler
+            t.arm_lp(*s); // attribute pod events to the profiler
         if (t.journal()) {
             // Pod-side decisions journal into per-pod shards; replay()
             // merges them back (time order, pod-index tie-break).
@@ -550,7 +554,7 @@ ClusterServeSystem::wire_telemetry(obs::Telemetry &t)
                   "Outstanding tokens charged to each pod");
     }
     if (ctrl_) {
-        // The control plane runs on the hub thread; its failover
+        // The control plane runs on the hub timeline; its failover
         // decisions journal straight into the master (merge_shards
         // stable-sorts, keeping master entries first on time ties).
         if (t.journal())
@@ -609,8 +613,7 @@ ClusterServeSystem::replay(const std::vector<workload::Request> &trace,
     if (!pod_sims_.empty()) {
         sim::LpScheduler::Config lc;
         lc.lookahead = ctl_latency_;
-        lc.window = cfg_.lp_window;
-        lc.threads = run_intra_threads_;
+        lc.window = kLpWindow;
         lc.tick = telemetry_tick_;
         lp_ = std::make_unique<sim::LpScheduler>(sim_, lc);
         for (auto &s : pod_sims_)
@@ -634,8 +637,8 @@ ClusterServeSystem::replay(const std::vector<workload::Request> &trace,
         p->finalize_stats();
     // Fold the per-pod observability shards back into the shared
     // exports, in pod order, BEFORE run() appends request lifecycles
-    // and counter tracks — so every export is byte-identical at any
-    // --intra-threads.
+    // and counter tracks — so every export has the same byte order as
+    // a single shared recorder would give.
     if (trace_master_) {
         for (auto &shard : trace_shards_)
             trace_master_->absorb_shard(*shard);

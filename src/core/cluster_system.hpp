@@ -17,29 +17,26 @@
  *  - crash re-dispatch: a victim whose home pod is fully down is
  *    recomputed at the least-loaded pod with a live instance.
  *
- * Intra-run parallelism: a multi-pod cluster is partitioned into
- * logical processes — one sim::Simulator per pod, coordinated by a
- * sim::LpScheduler around the hub simulator that owns arrivals, the
- * balancer, the NIC fabric and the chaos engine (see simcore/lp.hpp).
- * Pods advance concurrently inside conservative bounded-lag windows;
- * cross-pod interactions are timestamped messages through the
- * scheduler's bounded channels. The decode-offload decision models an
- * explicit control-plane latency (cluster_lookahead_floor(), the
- * fabric's base latency): the source pod parks the request
+ * Logical processes: a multi-pod cluster is partitioned into one
+ * sim::Simulator per pod, coordinated by a sim::LpScheduler around the
+ * hub simulator that owns arrivals, the balancer, the NIC fabric and
+ * the chaos engine (see simcore/lp.hpp). Pods advance inside
+ * conservative bounded-lag windows; cross-pod interactions are
+ * timestamped messages onto the hub timeline. The decode-offload
+ * decision models an explicit control-plane latency
+ * (cluster_lookahead_floor(), the fabric's base latency): the source
+ * pod parks the request
  * (Pod::hold_for_offload) and the hub scans remote pressure one
  * lookahead later, when every pod's state at that timestamp is exact.
- * RunOptions::intra_threads picks the worker count; any value
- * (including 1) produces byte-identical results, because windows,
- * message order and hub decisions are all thread-independent. A
- * single-pod cluster keeps the historical shared-simulator path.
+ * A single-pod cluster keeps the historical shared-simulator path.
  *
  * Determinism: pod k runs on seed `base ^ (k * golden)` (pod 0 keeps
  * the base seed), the balancer is RNG-free, and all cross-pod traffic
  * flows through the hub simulator's timeline — a cluster run stays a
  * pure function of (config, workload, seed), bit-identical at any
- * --jobs and any --intra-threads. A 1-node/1-pod cluster reproduces
- * WindServeSystem byte-for-byte: same construction order, same RNG
- * forks, same instance and channel names, no NIC channels.
+ * --jobs. A 1-node/1-pod cluster reproduces WindServeSystem
+ * byte-for-byte: same construction order, same RNG forks, same
+ * instance and channel names, no NIC channels.
  */
 #pragma once
 
@@ -73,22 +70,11 @@ struct ClusterConfig {
      *  against num_nodes). */
     std::vector<hw::InterNodeLink> inter_node_links;
 
-    /** Allow cross-pod decode offload / crash re-dispatch at all. */
-    bool allow_cross_pod = true;
     /** Local decode KV fraction above which prefill completions are
      *  offered to other pods. */
     double offload_highwater = 0.85;
     /** Remote decode KV fraction below which a pod accepts offloads. */
     double offload_lowwater = 0.60;
-
-    /**
-     * Bounded-lag window quantum (simulated seconds) for the intra-run
-     * parallel engine: pods advance in lockstep windows of
-     * max(lookahead, lp_window) between hub events. Purely a
-     * batching/performance knob — results are byte-identical at any
-     * value > 0 thanks to the hub-event / pending-tick window clamps.
-     * 0 degenerates to per-event lockstep (sequential pumping). */
-    double lp_window = 1e-3;
 
     /**
      * Replicated control plane (ctrl/control_plane.hpp). With
@@ -218,15 +204,15 @@ class ClusterServeSystem : public engine::ServingSystem
     /** One simulator per pod (multi-pod only; empty = shared path). */
     std::vector<std::unique_ptr<sim::Simulator>> pod_sims_;
     std::vector<std::unique_ptr<Pod>> pods_;
-    /** Built at replay() start from run_intra_threads_ (multi-pod). */
+    /** Built at replay() start (multi-pod only). */
     std::unique_ptr<sim::LpScheduler> lp_;
     /** cluster_lookahead_floor(topo_); 0 for single-pod clusters. */
     double ctl_latency_ = 0.0;
     /** Telemetry sample period, captured by wire_telemetry() so the
      *  LP windows never run a pod past a pending sample tick. */
     double telemetry_tick_ = 0.0;
-    /** Per-pod observability shards (multi-pod, merged at replay end
-     *  so exports are thread-count independent). */
+    /** Per-pod observability shards (multi-pod, merged in pod order
+     *  at replay end). */
     obs::TraceRecorder *trace_master_ = nullptr;
     std::vector<std::unique_ptr<obs::TraceRecorder>> trace_shards_;
     obs::DecisionJournal *journal_master_ = nullptr;

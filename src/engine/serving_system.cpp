@@ -1,6 +1,6 @@
 #include "engine/serving_system.hpp"
 
-#include <algorithm>
+#include <stdexcept>
 
 #include "fault/fault_injector.hpp"
 #include "obs/trace_recorder.hpp"
@@ -143,6 +143,10 @@ RunResult
 ServingSystem::run(const std::vector<workload::Request> &trace,
                    const RunOptions &opts)
 {
+    if (opts.intra_threads != 1)
+        throw std::invalid_argument(
+            "RunOptions::intra_threads must be 1: runs are single-threaded "
+            "(use sweep-level --jobs for parallelism)");
     if (opts.telemetry)
         attach_telemetry(*opts.telemetry);
     if (opts.tracing)
@@ -156,7 +160,6 @@ ServingSystem::run(const std::vector<workload::Request> &trace,
         attach_faults(fc);
     }
 
-    run_intra_threads_ = std::max<std::size_t>(opts.intra_threads, 1);
     replay(trace, opts.horizon);
 
     if (telemetry_)

@@ -106,12 +106,9 @@ struct ExperimentConfig {
      *  cross-pod offload path fire under moderate load. */
     std::optional<double> offload_highwater;
     std::optional<double> offload_lowwater;
-    /**
-     * Intra-run worker threads (engine::RunOptions::intra_threads).
-     * Only the multi-pod cluster engine uses them; results are
-     * byte-identical at any value, so this is purely a wall-clock
-     * knob — and the determinism harness's sweep axis.
-     */
+    /** run_experiment() forwards this to
+     *  engine::RunOptions::intra_threads, which must be 1. Kept so
+     *  existing callers that set it explicitly still compile. */
     std::size_t intra_threads = 1;
     /**
      * Scheduler replicas for the replicated control plane. 1 (the

@@ -54,8 +54,7 @@ result_checksum(const std::vector<workload::Request> &requests)
 
 ExperimentConfig
 make_fuzz_config(std::uint64_t seed, SystemKind system, bool chaos,
-                 std::size_t nodes, std::size_t intra_threads,
-                 std::size_t replicas, bool ctrl_chaos)
+                 std::size_t nodes, std::size_t replicas, bool ctrl_chaos)
 {
     // Independent stream per (seed, system) so the same seed explores
     // different configs on each system.
@@ -161,10 +160,8 @@ make_fuzz_config(std::uint64_t seed, SystemKind system, bool chaos,
         cfg.faults = fc2;
     }
     cfg.num_nodes = nodes == 0 ? 1 : nodes;
-    // Thread count is a pure parameter (no draw): byte-identity across
-    // values is exactly what the determinism harness asserts. Replica
-    // count likewise: the control plane forks its own seed stream.
-    cfg.intra_threads = intra_threads == 0 ? 1 : intra_threads;
+    // Replica count is a pure parameter (no draw): the control plane
+    // forks its own seed stream.
     cfg.ctrl_replicas = replicas == 0 ? 1 : replicas;
     return cfg;
 }
@@ -185,9 +182,6 @@ run_fuzz_case(const ExperimentConfig &cfg)
         ac.repro_extra = " --chaos";
     if (cfg.num_nodes > 1)
         ac.repro_extra += " --nodes=" + std::to_string(cfg.num_nodes);
-    if (cfg.intra_threads > 1)
-        ac.repro_extra +=
-            " --intra-threads=" + std::to_string(cfg.intra_threads);
     // Strictly appended after every historical field.
     if (cfg.ctrl_replicas > 1)
         ac.repro_extra +=
@@ -196,7 +190,6 @@ run_fuzz_case(const ExperimentConfig &cfg)
         ac.repro_extra += " --ctrl-chaos";
     opts.audit = std::move(ac);
     opts.faults = cfg.faults; // horizon <= 0 inherits opts.horizon
-    opts.intra_threads = cfg.intra_threads;
     auto trace = make_trace(cfg);
     auto run = system->run(trace, opts);
     const audit::SimAuditor *aud = system->audit();
@@ -233,8 +226,7 @@ run_fuzz(const FuzzOptions &opt)
         SystemKind system = opt.systems[i % opt.systems.size()];
         sum.results[i] = run_fuzz_case(make_fuzz_config(
             opt.base_seed + static_cast<std::uint64_t>(iter), system,
-            opt.chaos, opt.nodes, opt.intra_threads, opt.replicas,
-            opt.ctrl_chaos));
+            opt.chaos, opt.nodes, opt.replicas, opt.ctrl_chaos));
     });
     for (const auto &r : sum.results) {
         sum.total_events += r.audit_events;

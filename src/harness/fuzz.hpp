@@ -63,12 +63,6 @@ struct FuzzOptions {
      *  With chaos, N > 1 additionally draws node-crash and NIC-outage
      *  dials (strictly after all single-node draws). */
     std::size_t nodes = 1;
-    /** Intra-run worker threads for multi-pod cases (nodes > 1,
-     *  WindServe). A pure parameter — NO RNG draw is attached to it,
-     *  so every historical `--repro-seed` line replays byte-identically
-     *  and the same case can be replayed at different thread counts to
-     *  diff the parallel engine against the sequential one. */
-    std::size_t intra_threads = 1;
     /** Control replicas per WindServe case (pure parameter, no draw).
      *  1 keeps the historical immortal-coordinator campaign. */
     std::size_t replicas = 1;
@@ -93,16 +87,14 @@ struct FuzzSummary {
  * come after every base draw, so a case's fault-free config is
  * untouched by the flag. @p nodes > 1 runs the case on a multi-node
  * cluster; its extra chaos draws come after every chaos draw, so the
- * node axis never perturbs a single-node case either. @p intra_threads
- * is copied into the config without any draw (see FuzzOptions).
- * @p replicas (pure parameter, no draw) runs WindServe cases under a
- * replicated control plane; @p ctrl_chaos adds leader-crash /
- * control-partition dials, drawn strictly after every other axis.
+ * node axis never perturbs a single-node case either. @p replicas
+ * (pure parameter, no draw) runs WindServe cases under a replicated
+ * control plane; @p ctrl_chaos adds leader-crash / control-partition
+ * dials, drawn strictly after every other axis.
  */
 ExperimentConfig make_fuzz_config(std::uint64_t seed, SystemKind system,
                                   bool chaos = false,
                                   std::size_t nodes = 1,
-                                  std::size_t intra_threads = 1,
                                   std::size_t replicas = 1,
                                   bool ctrl_chaos = false);
 

@@ -16,6 +16,10 @@
  * sequence as a bare one: request outcomes, metrics and traces are
  * byte-identical with telemetry on or off, and the sampled series are
  * bit-identical at any `--jobs N`.
+ *
+ * Thread safety: none, by design. A Telemetry belongs to one run and
+ * is touched only by the thread executing that run; parallel sweeps
+ * (`--jobs N`) build one per cell and never share it.
  */
 #pragma once
 
@@ -78,13 +82,11 @@ class Telemetry
 
     /**
      * Attach only the event-pump self-profiler (if configured) to a
-     * logical process's simulator. Partitioned systems (intra-run
-     * parallelism) call this for every LP kernel so events fired on
-     * worker threads are attributed too — the profiler's accounting
-     * is lock-free and order-independent, so totals stay identical at
-     * any thread count. The batch-boundary sampler stays on the hub
-     * simulator arm() was given: metric sampling must see a globally
-     * consistent state, which only hub batches guarantee.
+     * logical process's simulator. Partitioned systems (sim::LpScheduler)
+     * call this for every LP kernel so pod events are attributed too.
+     * The batch-boundary sampler stays on the hub simulator arm() was
+     * given: metric sampling must see a globally consistent state,
+     * which only hub batches and window boundaries guarantee.
      */
     void arm_lp(sim::Simulator &sim);
 

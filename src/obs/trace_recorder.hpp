@@ -90,13 +90,12 @@ class TraceRecorder
      * Move every event recorded in @p shard into this recorder,
      * re-interning process/track names into this recorder's tables
      * (ids differ across recorders). Used by partitioned systems
-     * (intra-run parallelism): each logical process records into a
-     * private shard on its own thread, and the owner absorbs the
-     * shards in a fixed order at end of replay — so the merged trace
-     * is a pure function of (config, workload), independent of the
-     * worker-thread count. Events are appended in shard order (the
-     * Chrome trace format does not require global ts order); @p shard
-     * is left empty.
+     * (sim::LpScheduler): each logical process records into a private
+     * shard on its own clock, and the owner absorbs the shards in a
+     * fixed order at end of replay — so the merged trace is a pure
+     * function of (config, workload). Events are appended in shard
+     * order (the Chrome trace format does not require global ts
+     * order); @p shard is left empty.
      */
     void absorb_shard(TraceRecorder &shard);
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <stdexcept>
 
 namespace windserve::sim {
 
@@ -11,44 +10,11 @@ namespace {
 constexpr SimTime kInf = std::numeric_limits<SimTime>::infinity();
 } // namespace
 
-LpScheduler::LpScheduler(Simulator &hub, Config cfg) : hub_(hub), cfg_(cfg)
-{
-    if (cfg_.threads == 0)
-        cfg_.threads = 1;
-}
-
-LpScheduler::~LpScheduler()
-{
-    stop_.store(true, std::memory_order_release);
-    for (std::thread &t : workers_)
-        t.join();
-}
-
-std::size_t
-LpScheduler::add_lp(Simulator &sim)
-{
-    if (workers_started_)
-        throw std::logic_error("LpScheduler::add_lp after run started");
-    lps_.push_back(Lp{&sim, {}});
-    errs_.emplace_back();
-    return lps_.size() - 1;
-}
-
 void
-LpScheduler::post(std::size_t src_lp, SimTime when, std::function<void()> fn)
+LpScheduler::post(SimTime when, std::function<void()> fn)
 {
-    if (hub_phase_) {
-        // Coordinator thread, hub quiescent point: preserve hub batch
-        // insertion order by scheduling directly.
-        ++messages_;
-        hub_.schedule_at(when, std::move(fn));
-        return;
-    }
-    Lp &lp = lps_.at(src_lp);
-    if (lp.outbox.size() >= cfg_.channel_capacity)
-        throw std::length_error(
-            "LpScheduler: bounded channel overflow (LP outbox)");
-    lp.outbox.push_back(Msg{when, std::move(fn)});
+    ++messages_;
+    hub_.schedule_at(when, std::move(fn));
 }
 
 double
@@ -83,13 +49,12 @@ LpScheduler::compute_window(SimTime t0, double eff_window, SimTime hub_next,
 SimTime
 LpScheduler::run_until(SimTime horizon)
 {
-    start_workers();
     for (;;) {
         const SimTime hub_next = hub_.pending() ? hub_.next_time() : kInf;
         SimTime t0 = hub_next;
-        for (const Lp &lp : lps_) {
-            if (lp.sim->pending())
-                t0 = std::min(t0, lp.sim->next_time());
+        for (const Simulator *lp : lps_) {
+            if (lp->pending())
+                t0 = std::min(t0, lp->next_time());
         }
         if (t0 == kInf || t0 > horizon)
             break;
@@ -97,8 +62,8 @@ LpScheduler::run_until(SimTime horizon)
             // Hub phase (hub-first at ties): park the LPs at t0 so hub
             // handlers reaching into LP-owned objects see clocks and
             // schedule events at the hub's own timestamp.
-            for (Lp &lp : lps_)
-                lp.sim->advance_to(t0);
+            for (Simulator *lp : lps_)
+                lp->advance_to(t0);
             ++hub_phases_;
             hub_phase_ = true;
             try {
@@ -115,113 +80,21 @@ LpScheduler::run_until(SimTime horizon)
         const Window w = compute_window(t0, effective_window(), hub_next,
                                         cfg_.tick, horizon);
         ++windows_;
-        run_window_parallel(w);
-        rethrow_first_error();
-        drain_outboxes();
+        // LP index order is the message order: posts land on the hub
+        // heap in (LP index, post order).
+        for (Simulator *lp : lps_)
+            lp->run_window(w.excl, w.incl);
     }
     // Settle every clock on the global last-event time so end-of-run
     // statistics (utilization denominators, trailing telemetry ticks)
-    // are identical at any thread count — and equal to what one shared
-    // sequential queue would have reported.
+    // equal what one shared queue would have reported.
     SimTime g = hub_.now();
-    for (const Lp &lp : lps_)
-        g = std::max(g, lp.sim->now());
+    for (const Simulator *lp : lps_)
+        g = std::max(g, lp->now());
     hub_.advance_to(g);
-    for (Lp &lp : lps_)
-        lp.sim->advance_to(g);
+    for (Simulator *lp : lps_)
+        lp->advance_to(g);
     return g;
-}
-
-void
-LpScheduler::start_workers()
-{
-    if (workers_started_)
-        return;
-    workers_started_ = true;
-    const std::size_t spawn =
-        std::min(cfg_.threads, lps_.size() > 0 ? lps_.size() : std::size_t{1})
-        - 1;
-    workers_.reserve(spawn);
-    for (std::size_t i = 0; i < spawn; ++i)
-        workers_.emplace_back([this] { worker_main(); });
-}
-
-void
-LpScheduler::run_window_parallel(Window w)
-{
-    cur_ = w;
-    next_lp_.store(0, std::memory_order_relaxed);
-    if (workers_.empty()) {
-        claim_and_run();
-        return;
-    }
-    remaining_.store(workers_.size(), std::memory_order_relaxed);
-    epoch_.fetch_add(1, std::memory_order_release);
-    claim_and_run(); // the coordinator is a worker too
-    while (remaining_.load(std::memory_order_acquire) != 0)
-        std::this_thread::yield();
-}
-
-void
-LpScheduler::worker_main()
-{
-    std::uint64_t seen = 0;
-    for (;;) {
-        std::uint64_t e;
-        while ((e = epoch_.load(std::memory_order_acquire)) == seen) {
-            if (stop_.load(std::memory_order_acquire))
-                return;
-            std::this_thread::yield();
-        }
-        seen = e;
-        claim_and_run();
-        remaining_.fetch_sub(1, std::memory_order_release);
-    }
-}
-
-void
-LpScheduler::claim_and_run()
-{
-    for (;;) {
-        const std::size_t i =
-            next_lp_.fetch_add(1, std::memory_order_relaxed);
-        if (i >= lps_.size())
-            break;
-        try {
-            lps_[i].sim->run_window(cur_.excl, cur_.incl);
-        } catch (...) {
-            // Fail fast but let the barrier complete; the coordinator
-            // rethrows the lowest-index error deterministically.
-            errs_[i] = std::current_exception();
-        }
-    }
-}
-
-void
-LpScheduler::rethrow_first_error()
-{
-    for (std::size_t i = 0; i < errs_.size(); ++i) {
-        if (errs_[i]) {
-            std::exception_ptr e = errs_[i];
-            for (std::exception_ptr &p : errs_)
-                p = nullptr;
-            std::rethrow_exception(e);
-        }
-    }
-}
-
-void
-LpScheduler::drain_outboxes()
-{
-    // (LP index, post order) concatenation: the hub heap's insertion-seq
-    // tie-break turns this into the total (time, LP, seq) event order.
-    for (Lp &lp : lps_) {
-        for (Msg &m : lp.outbox) {
-            ++messages_;
-            hub_.schedule_at(m.when, std::move(m.fn));
-        }
-        lp.outbox.clear();
-    }
 }
 
 } // namespace windserve::sim

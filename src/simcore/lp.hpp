@@ -1,6 +1,6 @@
 /**
  * @file
- * Conservative-lookahead parallel discrete-event scheduler (PDES).
+ * Conservative-lookahead logical-process scheduler.
  *
  * A run is partitioned into logical processes (LPs), each owning a
  * private sim::Simulator clock and event queue, plus one distinguished
@@ -11,48 +11,38 @@
  *  - t0 is the global minimum pending timestamp across the hub and all
  *    LPs, so every event below t0 has already fired — the classic
  *    conservative lower bound on timestamp (LBTS).
- *  - If the hub itself holds the minimum, a sequential HUB PHASE runs
- *    all hub events at t0 on the coordinator thread while the LPs are
- *    parked at the barrier with their clocks advanced to t0 (hub-first
- *    at ties; hub handlers may safely call into LP-owned objects).
- *  - Otherwise a WINDOW PHASE lets every LP fire its local events in
- *    parallel up to end = min(t0 + W, hub_next, next telemetry tick,
- *    horizon), where W = max(lookahead, window quantum). The lookahead
- *    floor is derived from the minimum cross-LP link latency (see
- *    core::cluster_lookahead_floor); the window quantum amortizes
- *    barrier cost when the floor is tiny. W = 0 degenerates to
- *    lockstep sequential pumping (each window fires exactly the
- *    t0-batch of each LP).
+ *  - If the hub itself holds the minimum, a HUB PHASE runs all hub
+ *    events at t0 with every LP clock advanced to t0 (hub-first at
+ *    ties; hub handlers may safely call into LP-owned objects).
+ *  - Otherwise a WINDOW PHASE lets every LP, in LP index order, fire
+ *    its local events up to end = min(t0 + W, hub_next, next telemetry
+ *    tick, horizon), where W = max(lookahead, window quantum). The
+ *    lookahead floor is derived from the minimum cross-LP link latency
+ *    (see core::cluster_lookahead_floor). W = 0 degenerates to
+ *    lockstep pumping (each window fires exactly the t0-batch of each
+ *    LP).
  *
- * Cross-LP interactions become timestamped MESSAGES posted through
- * bounded per-LP channels: during a window each LP appends to its own
- * single-producer outbox (no locks — the barrier's release/acquire
- * pair orders it); at the barrier the coordinator drains outboxes in
- * (LP index, post order) into the hub queue, where the event heap's
- * (time, insertion-seq) tie-break turns that into a total (time, LP,
- * seq) order — the cross-LP determinism contract. Posting from inside
- * a hub phase schedules directly, preserving hub batch order.
+ * Cross-LP interactions become timestamped MESSAGES: post() schedules
+ * them straight onto the hub timeline. Windows run on the calling
+ * thread in LP index order, so messages enter the hub heap in (LP
+ * index, post order), and the heap's (time, insertion-seq) tie-break
+ * turns that into a total (time, LP, seq) delivery order.
  *
  * Determinism: window boundaries are a pure function of queue state at
- * each barrier, message drain order is fixed, and LPs share no mutable
- * state inside windows — so any thread count (including 1, which runs
- * the identical window structure on the coordinator) produces
- * byte-identical results. Hub handlers MAY observe LP state up to W
+ * each boundary and execution order is fixed, so a run is a pure
+ * function of its inputs. Hub handlers MAY observe LP state up to W
  * ahead of their own timestamp (bounded staleness); that skew is part
- * of the deterministic semantics, not a race.
+ * of the deterministic semantics.
  *
  * Telemetry: windows are clamped so they never fire past a pending
- * sampling tick; the coordinator calls hub notify_batch(t0) at every
- * boundary, so the registry samples each tick τ after all events ≤ τ
- * and before any event > τ — exactly the sequential hook contract.
+ * sampling tick; the scheduler calls hub notify_batch(t0) at every
+ * window, so the registry samples each tick τ after all events ≤ τ
+ * and before any event > τ — exactly the single-queue hook contract.
  */
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <exception>
 #include <functional>
-#include <thread>
 #include <vector>
 
 #include "simcore/simulator.hpp"
@@ -68,17 +58,11 @@ class LpScheduler
         /// interaction. Windows may always extend at least this far.
         double lookahead = 0.0;
         /// Bounded-lag quantum: effective window W = max(lookahead,
-        /// window). 0 with 0 lookahead = lockstep sequential pumping.
+        /// window). 0 with 0 lookahead = lockstep pumping.
         double window = 1e-3;
-        /// Worker concurrency (coordinator included). 1 = no threads.
-        std::size_t threads = 1;
         /// Telemetry sampling grid (seconds); windows never fire past
         /// a pending tick. 0 disables the clamp.
         double tick = 0.0;
-        /// Bounded-channel capacity per LP outbox per window; an LP
-        /// posting beyond it throws (backpressure would deadlock the
-        /// barrier, so overflow is fail-fast).
-        std::size_t channel_capacity = 65536;
     };
 
     /** Window bounds: fire events with time < excl or time <= incl. */
@@ -87,28 +71,28 @@ class LpScheduler
         SimTime incl;
     };
 
-    LpScheduler(Simulator &hub, Config cfg);
-    ~LpScheduler();
+    LpScheduler(Simulator &hub, Config cfg) : hub_(hub), cfg_(cfg) {}
     LpScheduler(const LpScheduler &) = delete;
     LpScheduler &operator=(const LpScheduler &) = delete;
 
     /** Register an LP simulator (borrowed). @return its LP index. */
-    std::size_t add_lp(Simulator &sim);
+    std::size_t add_lp(Simulator &sim)
+    {
+        lps_.push_back(&sim);
+        return lps_.size() - 1;
+    }
 
-    /**
-     * Post @p fn onto the hub timeline at time @p when (clamped to the
-     * hub clock on delivery). From inside a window, appends to LP
-     * @p src_lp's outbox; from a hub phase, schedules directly.
-     */
-    void post(std::size_t src_lp, SimTime when, std::function<void()> fn);
+    /** Post @p fn onto the hub timeline at time @p when (clamped to
+     *  the hub clock). */
+    void post(SimTime when, std::function<void()> fn);
 
-    /** True while hub events run on the coordinator (LPs parked). */
+    /** True while hub events run (LP clocks parked at the hub time). */
     bool in_hub_phase() const { return hub_phase_; }
 
     /**
      * Drive hub + LPs to @p horizon (events at exactly the horizon
      * still fire), then settle every clock on the global last-event
-     * time so end-of-run statistics are thread-count independent.
+     * time so end-of-run statistics match a single shared queue.
      * @return that final time.
      */
     SimTime run_until(SimTime horizon);
@@ -117,9 +101,9 @@ class LpScheduler
     double effective_window() const;
 
     /**
-     * Pure window-bound computation for one barrier (exposed for unit
-     * tests): @p t0 the global minimum timestamp, @p hub_next the hub's
-     * next pending time (infinity when idle; > t0 in a window phase).
+     * Pure window-bound computation (exposed for unit tests): @p t0 the
+     * global minimum timestamp, @p hub_next the hub's next pending time
+     * (infinity when idle; > t0 in a window phase).
      */
     static Window compute_window(SimTime t0, double eff_window,
                                  SimTime hub_next, double tick,
@@ -134,40 +118,10 @@ class LpScheduler
     std::size_t num_lps() const { return lps_.size(); }
 
   private:
-    struct Msg {
-        SimTime when;
-        std::function<void()> fn;
-    };
-    struct Lp {
-        Simulator *sim;
-        std::vector<Msg> outbox;
-    };
-
-    void start_workers();
-    void worker_main();
-    void claim_and_run();
-    void run_window_parallel(Window w);
-    void drain_outboxes();
-    void rethrow_first_error();
-
     Simulator &hub_;
     Config cfg_;
-    std::vector<Lp> lps_;
-    std::vector<std::exception_ptr> errs_;
+    std::vector<Simulator *> lps_;
     bool hub_phase_ = false;
-
-    // worker pool: coordinator publishes a window by bumping epoch_
-    // (release); workers spin on it (acquire), claim LP indices from
-    // next_lp_, and count down remaining_ (release) when the claim
-    // pool is exhausted. The epoch/remaining pair is the only
-    // synchronization LP state crosses.
-    std::vector<std::thread> workers_;
-    std::atomic<std::uint64_t> epoch_{0};
-    std::atomic<std::size_t> next_lp_{0};
-    std::atomic<std::size_t> remaining_{0};
-    std::atomic<bool> stop_{false};
-    Window cur_{0.0, 0.0};
-    bool workers_started_ = false;
 
     std::uint64_t windows_ = 0;
     std::uint64_t hub_phases_ = 0;

@@ -145,6 +145,21 @@ TEST(FuzzAudit, MultiNodeSeedReplayIsExact)
         EXPECT_EQ(a.checksum, b.checksum) << a.system_name;
         EXPECT_EQ(a.audit_events, b.audit_events) << a.system_name;
     }
+    // Older repro lines could carry an intra-run thread-count flag, an
+    // axis that never drew from the case RNG. The same line without the
+    // flag replays the recorded outcome: these checksums were recorded
+    // from `--repro-seed=77 --repro-config=windserve --chaos --nodes=2`
+    // at 1 and at 8 intra-run threads (identical), the second line with
+    // `--replicas=3 --ctrl-chaos` appended.
+    EXPECT_EQ(hs::run_fuzz_case(hs::make_fuzz_config(
+                                    77, hs::SystemKind::WindServe, true, 2))
+                  .checksum,
+              0xb0f152066a9bd191ULL);
+    EXPECT_EQ(hs::run_fuzz_case(
+                  hs::make_fuzz_config(77, hs::SystemKind::WindServe, true,
+                                       2, 3, true))
+                  .checksum,
+              0x95a551ec30244f81ULL);
 }
 
 TEST(FuzzAudit, NodeAxisDoesNotPerturbSingleNodeConfigs)

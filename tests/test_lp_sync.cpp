@@ -4,9 +4,9 @@
  * + core::cluster_lookahead_floor): lookahead-floor derivation from
  * topology latencies, window-bound computation, the LP clock-advance
  * bound, cross-LP (time, seq) tie-break determinism, the zero-lookahead
- * fallback to lockstep sequential pumping, a chaos campaign that kills
- * pods mid-offload under the parallel engine and replays the same seed
- * sequentially, and a 2-node golden snapshot run at threads=4.
+ * fallback to lockstep pumping, a chaos campaign that kills pods
+ * mid-offload and replays the same seed, a 2-node golden snapshot, and
+ * the rejection of multi-threaded run requests.
  */
 #include <gtest/gtest.h>
 
@@ -15,6 +15,7 @@
 #include <fstream>
 #include <limits>
 #include <map>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -157,11 +158,8 @@ TEST(LpSync, HubPhaseSeesParkedLpClocks)
     Simulator hub;
     Simulator lp0, lp1;
     LpScheduler::Config cfg;
-    // A 1s quantum puts every event below into its own window, so the
-    // shared `order` log is only ever appended between barriers (LPs
-    // share no state INSIDE a window; the test must respect that too).
+    // A 1s quantum puts every event below into its own window.
     cfg.lookahead = 1.0;
-    cfg.threads = 2;
     LpScheduler sched(hub, cfg);
     sched.add_lp(lp0);
     sched.add_lp(lp1);
@@ -195,103 +193,99 @@ TEST(LpSync, HubPhaseSeesParkedLpClocks)
 }
 
 // Messages posted at the SAME timestamp from different LPs are
-// delivered in (LP index, post order) — the heap's insertion-seq
-// tie-break makes that a total order, independent of thread count.
+// delivered in (LP index, post order): windows run the LPs in index
+// order, and the heap's insertion-seq tie-break makes that a total
+// order.
 TEST(LpSync, SameTimeMessagesDeliverInLpIndexThenPostOrder)
 {
-    for (std::size_t threads : {1u, 2u, 8u}) {
-        Simulator hub;
-        Simulator lp0, lp1, lp2;
-        LpScheduler::Config cfg;
-        cfg.lookahead = 1.0;
-        cfg.threads = threads;
-        LpScheduler sched(hub, cfg);
-        sched.add_lp(lp0);
-        sched.add_lp(lp1);
-        sched.add_lp(lp2);
-
-        std::vector<std::string> order;
-        auto sender = [&](Simulator &sim, std::size_t idx) {
-            sim.schedule_at(0.25, [&, idx] {
-                // Two messages per LP, all for the identical instant.
-                sched.post(idx, 2.0, [&order, idx] {
-                    order.push_back("lp" + std::to_string(idx) + ".a");
-                });
-                sched.post(idx, 2.0, [&order, idx] {
-                    order.push_back("lp" + std::to_string(idx) + ".b");
-                });
-            });
-        };
-        // Register senders in reverse so delivery order provably comes
-        // from the LP INDEX, not scheduling happenstance.
-        sender(lp2, 2);
-        sender(lp1, 1);
-        sender(lp0, 0);
-
-        sched.run_until(10.0);
-        ASSERT_EQ(order.size(), 6u) << "threads=" << threads;
-        EXPECT_EQ(order[0], "lp0.a");
-        EXPECT_EQ(order[1], "lp0.b");
-        EXPECT_EQ(order[2], "lp1.a");
-        EXPECT_EQ(order[3], "lp1.b");
-        EXPECT_EQ(order[4], "lp2.a");
-        EXPECT_EQ(order[5], "lp2.b");
-        EXPECT_EQ(sched.messages_posted(), 6u);
-    }
-}
-
-// Zero lookahead + zero window quantum = lockstep sequential pumping:
-// every window fires exactly one timestamp, so the global firing order
-// is the merged time order, at any thread count.
-TEST(LpSync, ZeroLookaheadFallsBackToSequentialPumping)
-{
-    for (std::size_t threads : {1u, 4u}) {
-        Simulator hub;
-        Simulator lp0, lp1;
-        LpScheduler::Config cfg;
-        cfg.lookahead = 0.0;
-        cfg.window = 0.0;
-        cfg.threads = threads;
-        LpScheduler sched(hub, cfg);
-        sched.add_lp(lp0);
-        sched.add_lp(lp1);
-
-        std::vector<double> fired;
-        for (double t : {0.1, 0.3, 0.5})
-            lp0.schedule_at(t, [&fired, t] { fired.push_back(t); });
-        for (double t : {0.2, 0.4})
-            lp1.schedule_at(t, [&fired, t] { fired.push_back(t); });
-
-        sched.run_until(1.0);
-        ASSERT_EQ(fired.size(), 5u) << "threads=" << threads;
-        EXPECT_EQ(fired, (std::vector<double>{0.1, 0.2, 0.3, 0.4, 0.5}));
-        // One lockstep window per distinct timestamp, no hub phases
-        // (the hub never holds the minimum here).
-        EXPECT_EQ(sched.windows(), 5u);
-        EXPECT_EQ(sched.effective_window(), 0.0);
-    }
-}
-
-TEST(LpSync, BoundedChannelOverflowFailsFast)
-{
     Simulator hub;
-    Simulator lp0;
+    Simulator lp0, lp1, lp2;
     LpScheduler::Config cfg;
     cfg.lookahead = 1.0;
-    cfg.channel_capacity = 4;
     LpScheduler sched(hub, cfg);
     sched.add_lp(lp0);
-    lp0.schedule_at(0.1, [&] {
-        for (int i = 0; i < 8; ++i)
-            sched.post(0, 1.0, [] {});
-    });
-    EXPECT_THROW(sched.run_until(10.0), std::length_error);
+    sched.add_lp(lp1);
+    sched.add_lp(lp2);
+
+    std::vector<std::string> order;
+    auto sender = [&](Simulator &sim, std::size_t idx) {
+        sim.schedule_at(0.25, [&, idx] {
+            // Two messages per LP, all for the identical instant.
+            sched.post(2.0, [&order, idx] {
+                order.push_back("lp" + std::to_string(idx) + ".a");
+            });
+            sched.post(2.0, [&order, idx] {
+                order.push_back("lp" + std::to_string(idx) + ".b");
+            });
+        });
+    };
+    // Register senders in reverse so delivery order provably comes
+    // from the LP INDEX, not scheduling happenstance.
+    sender(lp2, 2);
+    sender(lp1, 1);
+    sender(lp0, 0);
+
+    sched.run_until(10.0);
+    ASSERT_EQ(order.size(), 6u);
+    EXPECT_EQ(order[0], "lp0.a");
+    EXPECT_EQ(order[1], "lp0.b");
+    EXPECT_EQ(order[2], "lp1.a");
+    EXPECT_EQ(order[3], "lp1.b");
+    EXPECT_EQ(order[4], "lp2.a");
+    EXPECT_EQ(order[5], "lp2.b");
+    EXPECT_EQ(sched.messages_posted(), 6u);
+}
+
+// Zero lookahead + zero window quantum = lockstep pumping: every
+// window fires exactly one timestamp, so the global firing order is
+// the merged time order.
+TEST(LpSync, ZeroLookaheadFallsBackToSequentialPumping)
+{
+    Simulator hub;
+    Simulator lp0, lp1;
+    LpScheduler::Config cfg;
+    cfg.lookahead = 0.0;
+    cfg.window = 0.0;
+    LpScheduler sched(hub, cfg);
+    sched.add_lp(lp0);
+    sched.add_lp(lp1);
+
+    std::vector<double> fired;
+    for (double t : {0.1, 0.3, 0.5})
+        lp0.schedule_at(t, [&fired, t] { fired.push_back(t); });
+    for (double t : {0.2, 0.4})
+        lp1.schedule_at(t, [&fired, t] { fired.push_back(t); });
+
+    sched.run_until(1.0);
+    ASSERT_EQ(fired.size(), 5u);
+    EXPECT_EQ(fired, (std::vector<double>{0.1, 0.2, 0.3, 0.4, 0.5}));
+    // One lockstep window per distinct timestamp, no hub phases (the
+    // hub never holds the minimum here).
+    EXPECT_EQ(sched.windows(), 5u);
+    EXPECT_EQ(sched.effective_window(), 0.0);
+}
+
+// Runs execute on the calling thread; asking for more is an error, not
+// a silently ignored knob.
+TEST(LpSync, RunRejectsIntraThreadsOtherThanOne)
+{
+    hs::ExperimentConfig ec;
+    ec.system = hs::SystemKind::WindServe;
+    ec.num_nodes = 2;
+    ec.num_requests = 20;
+    auto system = hs::make_system(ec);
+    windserve::engine::RunOptions opts;
+    opts.intra_threads = 2;
+    EXPECT_THROW(system->run(hs::make_trace(ec), opts),
+                 std::invalid_argument);
+
+    ec.intra_threads = 2;
+    EXPECT_THROW(hs::run_experiment(ec), std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------
-// Chaos campaign: pods killed mid-offload under the parallel engine,
-// replayed sequentially from the exact same seed (satellite of the
-// fuzz --intra-threads axis).
+// Chaos campaign: pods killed mid-offload, replayed from the exact same
+// seed.
 // ---------------------------------------------------------------------
 
 TEST(LpChaos, MidOffloadCrashCampaignMatchesSequentialReplay)
@@ -299,8 +293,7 @@ TEST(LpChaos, MidOffloadCrashCampaignMatchesSequentialReplay)
     std::uint64_t offload_cases = 0;
     for (std::uint64_t seed = 1; seed <= 6; ++seed) {
         hs::ExperimentConfig cfg = hs::make_fuzz_config(
-            seed, hs::SystemKind::WindServe, /*chaos=*/true, /*nodes=*/2,
-            /*intra_threads=*/8);
+            seed, hs::SystemKind::WindServe, /*chaos=*/true, /*nodes=*/2);
         // Campaign-local pressure: a tiny KV pool plus low watermarks
         // keep decode offloads in flight when the chaos schedule kills
         // pods (the fuzz traces are too small to trip the stock pair).
@@ -308,33 +301,27 @@ TEST(LpChaos, MidOffloadCrashCampaignMatchesSequentialReplay)
         cfg.offload_highwater = 0.10;
         cfg.offload_lowwater = 0.08;
 
-        hs::FuzzResult par = hs::run_fuzz_case(cfg);
-        hs::ExperimentConfig seq_cfg = cfg;
-        seq_cfg.intra_threads = 1;
-        hs::FuzzResult seq = hs::run_fuzz_case(seq_cfg);
+        hs::FuzzResult res = hs::run_fuzz_case(cfg);
+        EXPECT_EQ(res.audit_violations, 0u) << "seed=" << seed;
 
-        EXPECT_EQ(par.checksum, seq.checksum) << "seed=" << seed;
-        EXPECT_EQ(par.finished, seq.finished) << "seed=" << seed;
-        EXPECT_EQ(par.aborted, seq.aborted) << "seed=" << seed;
-        EXPECT_EQ(par.audit_events, seq.audit_events) << "seed=" << seed;
-        EXPECT_EQ(par.audit_violations, 0u) << "seed=" << seed;
-
-        // Count how often the offload path actually engaged (run once
-        // more with the system held so the cluster counters are
-        // visible — run_fuzz_case only returns the summary).
+        // Replay the same seed with the system held, so the cluster
+        // counters show how often the offload path actually engaged
+        // (run_fuzz_case only returns the summary).
         auto system = hs::make_system(cfg);
         windserve::engine::RunOptions opts;
         opts.slo = cfg.scenario.slo;
         opts.horizon = cfg.horizon;
         opts.faults = cfg.faults;
-        opts.intra_threads = cfg.intra_threads;
         auto run = system->run(hs::make_trace(cfg), opts);
         auto *cs = dynamic_cast<windserve::core::ClusterServeSystem *>(
             system.get());
         ASSERT_NE(cs, nullptr) << "seed=" << seed;
         offload_cases += cs->cross_offloads() > 0 ? 1 : 0;
-        EXPECT_EQ(hs::result_checksum(run.requests), par.checksum)
+        EXPECT_EQ(hs::result_checksum(run.requests), res.checksum)
             << "seed=" << seed;
+        EXPECT_EQ(run.metrics.num_finished, res.finished)
+            << "seed=" << seed;
+        EXPECT_EQ(run.metrics.num_aborted, res.aborted) << "seed=" << seed;
     }
     // The campaign is vacuous if no case ever had an offload in the
     // air; at these watermarks several seeds must.
@@ -342,7 +329,7 @@ TEST(LpChaos, MidOffloadCrashCampaignMatchesSequentialReplay)
 }
 
 // ---------------------------------------------------------------------
-// 2-node golden snapshot at threads=4
+// 2-node golden snapshot
 // ---------------------------------------------------------------------
 
 namespace {
@@ -368,17 +355,14 @@ lp_snapshot()
     ec.audit = true;
     ec.offload_highwater = 0.10;
     ec.offload_lowwater = 0.08;
-    ec.intra_threads = 4;
     auto r = hs::run_experiment(ec);
     EXPECT_EQ(r.audit_violations, 0u);
     EXPECT_EQ(r.metrics.num_finished + r.metrics.num_unfinished, 300u);
 
-    // The golden pin is also an identity check: the sequential replay
-    // of the same config must agree on the EXACT event count before we
-    // compare the snapshot against its 5%-tolerance baseline.
-    hs::ExperimentConfig seq = ec;
-    seq.intra_threads = 1;
-    auto r1 = hs::run_experiment(seq);
+    // The golden pin is also an identity check: a replay of the same
+    // config must agree on the EXACT event count before we compare the
+    // snapshot against its 5%-tolerance baseline.
+    auto r1 = hs::run_experiment(ec);
     EXPECT_EQ(r.events_fired, r1.events_fired);
     EXPECT_EQ(r.metrics.num_finished, r1.metrics.num_finished);
     EXPECT_EQ(r.metrics.makespan, r1.metrics.makespan);
@@ -410,7 +394,7 @@ load_golden(const std::string &path)
 
 } // namespace
 
-TEST(LpGolden, TwoNodeThreads4RunMatchesSnapshot)
+TEST(LpGolden, TwoNodeRunMatchesSnapshot)
 {
     auto snap = lp_snapshot();
 

@@ -306,84 +306,6 @@ TEST(ParallelSweep, SequentialVsShardedSinglePodIdentical)
     ASSERT_EQ(a.audit_events, b.audit_events);
 }
 
-// ---------------------------------------------------------------------
-// Intra-run parallelism (conservative-lookahead LP engine)
-// ---------------------------------------------------------------------
-
-namespace {
-
-/** A fully-instrumented multi-pod cell: every export surface on, and
- *  offload watermarks lowered so the cross-pod message path is part of
- *  what the identity sweep covers. */
-hs::ExperimentConfig
-intra_cell(hs::SystemKind kind, std::size_t nodes, std::size_t threads)
-{
-    hs::ExperimentConfig ec;
-    ec.system = kind;
-    ec.num_nodes = nodes;
-    ec.pods_per_node = 2;
-    ec.per_gpu_rate = 1.5;
-    ec.num_requests = nodes == 1 ? 120 : 160;
-    ec.seed = hs::derive_cell_seed(13 + nodes, kind, ec.per_gpu_rate);
-    ec.audit = true;
-    ec.record_trace = true;
-    ec.telemetry = windserve::obs::TelemetryConfig{};
-    ec.offload_highwater = 0.10;
-    ec.offload_lowwater = 0.08;
-    ec.intra_threads = threads;
-    return ec;
-}
-
-/** The intra-thread identity contract: ALL five export surfaces
- *  (metrics, trace JSON, telemetry Prometheus/CSV, decision journal)
- *  plus the cross-simulator event count, byte for byte. */
-void
-expect_exports_identical(const hs::ExperimentResult &a,
-                         const hs::ExperimentResult &b,
-                         const std::string &what)
-{
-    expect_result_identical(a, b);
-    ASSERT_EQ(a.events_fired, b.events_fired) << what;
-    ASSERT_EQ(a.trace_json, b.trace_json) << what;
-    ASSERT_EQ(a.trace_request_csv, b.trace_request_csv) << what;
-    ASSERT_EQ(a.trace_events, b.trace_events) << what;
-    ASSERT_EQ(a.metrics_prometheus, b.metrics_prometheus) << what;
-    ASSERT_EQ(a.metrics_csv, b.metrics_csv) << what;
-    ASSERT_EQ(a.journal_csv, b.journal_csv) << what;
-    ASSERT_EQ(a.journal_json, b.journal_json) << what;
-    ASSERT_EQ(a.profile_table, b.profile_table) << what;
-    ASSERT_EQ(a.metric_samples, b.metric_samples) << what;
-    ASSERT_EQ(a.journal_decisions, b.journal_decisions) << what;
-    ASSERT_EQ(a.audit_events, b.audit_events) << what;
-    ASSERT_EQ(a.audit_violations, 0u) << what;
-}
-
-} // namespace
-
-// Tentpole acceptance: intra-run threads 1/2/8 byte-identical across
-// every export surface, for all three systems, on a 1-node (2-pod)
-// and a 4-node (8-pod) cluster. For WindServe this exercises the
-// conservative-lookahead LP engine; for the baselines the flag must be
-// inert (they replicate whole engines inside one simulator).
-TEST(IntraRunParallel, ThreadSweepByteIdenticalAllSystems)
-{
-    for (std::size_t nodes : {1u, 4u}) {
-        for (auto kind : {hs::SystemKind::WindServe,
-                          hs::SystemKind::DistServe, hs::SystemKind::Vllm}) {
-            auto seq = hs::run_experiment(intra_cell(kind, nodes, 1));
-            for (std::size_t threads : {2u, 8u}) {
-                auto par =
-                    hs::run_experiment(intra_cell(kind, nodes, threads));
-                expect_exports_identical(
-                    seq, par,
-                    std::string(hs::to_string(kind)) + " nodes=" +
-                        std::to_string(nodes) + " threads=" +
-                        std::to_string(threads));
-            }
-        }
-    }
-}
-
 // The RunOptions path (trace + audit attachments created inside
 // run()) must preserve the engine's determinism contract: cells of a
 // fully-instrumented grid are bit-identical — down to the exported

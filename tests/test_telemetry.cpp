@@ -11,6 +11,7 @@
 
 #include <cstdlib>
 #include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -525,6 +526,39 @@ TEST(PumpProfiler, AttributesNearlyEveryFiredEvent)
     // Counts-only table stays away from wall-clock columns.
     EXPECT_EQ(table.find("wall"), std::string::npos);
     EXPECT_NE(tel->profile_table(true).find("wall"), std::string::npos);
+}
+
+// A 128-pod cluster tags well over a thousand distinct sources; every
+// one must get its own id and its exact count, with nothing spilling
+// into (untagged).
+TEST(PumpProfiler, ManySourcesKeepDistinctIdsAndExactCounts)
+{
+    constexpr std::size_t kSources = 1500;
+    sim::PumpProfiler prof;
+    sim::Simulator simu;
+    simu.set_profiler(&prof);
+    std::uint64_t expected_total = 0;
+    for (std::size_t i = 0; i < kSources; ++i) {
+        sim::SourceScope scope(simu, "src/" + std::to_string(i));
+        for (std::size_t k = 0; k <= i % 3; ++k, ++expected_total)
+            simu.schedule(static_cast<double>(i), [] {});
+    }
+    simu.run();
+
+    EXPECT_EQ(prof.num_sources(), kSources + 1); // + (untagged)
+    std::set<std::uint16_t> ids;
+    for (std::size_t i = 0; i < kSources; ++i) {
+        const std::string name = "src/" + std::to_string(i);
+        const std::uint16_t id = prof.intern(name);
+        ids.insert(id);
+        EXPECT_EQ(prof.name(id), name);
+        EXPECT_EQ(prof.bucket(id).fired, i % 3 + 1) << name;
+    }
+    EXPECT_EQ(ids.size(), kSources);
+    EXPECT_EQ(ids.count(0), 0u);
+    EXPECT_EQ(prof.bucket(0).fired, 0u);
+    EXPECT_EQ(prof.total_fired(), expected_total);
+    EXPECT_DOUBLE_EQ(prof.attributed_fraction(), 1.0);
 }
 
 // ---------------------------------------------------------------------
