@@ -139,21 +139,43 @@ DistServeSystem::on_prefill_complete(std::size_t pair, Request *r)
 }
 
 void
-DistServeSystem::wire_faults(fault::FaultInjector &inj)
+DistServeSystem::wire(const engine::Attachments &a)
 {
     for (Pair &pr : pairs_) {
-        inj.add_instance(pr.prefill.get());
-        inj.add_instance(pr.decode.get());
-        inj.add_channel(&pr.xfer->forward_channel());
-        inj.add_channel(&pr.xfer->reverse_channel());
-        pr.xfer->set_faults(&inj);
+        if (a.telemetry) {
+            obs::MetricRegistry &reg = a.telemetry->registry();
+            pr.prefill->register_metrics(reg);
+            pr.decode->register_metrics(reg);
+            reg.link(pr.xfer->forward_channel());
+            reg.link(pr.xfer->reverse_channel());
+            reg.link(pr.xfer->staged_channel());
+        }
+        if (a.trace) {
+            pr.prefill->set_trace(a.trace);
+            pr.decode->set_trace(a.trace);
+            pr.xfer->set_trace(a.trace);
+        }
+        if (a.audit) {
+            pr.prefill->set_audit(a.audit);
+            pr.decode->set_audit(a.audit);
+            pr.xfer->set_audit(a.audit);
+        }
+        if (a.faults) {
+            a.faults->add_instance(pr.prefill.get());
+            a.faults->add_instance(pr.decode.get());
+            a.faults->add_channel(&pr.xfer->forward_channel());
+            a.faults->add_channel(&pr.xfer->reverse_channel());
+            pr.xfer->set_faults(a.faults);
+        }
     }
+    if (!a.faults)
+        return;
     // DistServe-style recovery: no KV backups and no role flexibility —
     // every crash victim recomputes its full prefill on its replica's
     // prefill instance (falling back to the next live replica when it
     // is down). This is the expensive full-re-migration path
     // WindServe's backup-aware re-dispatch is benchmarked against.
-    inj.set_redispatch([this](Request *r) {
+    a.faults->set_redispatch([this](Request *r) {
         r->prefilled = 0;
         r->generated = 0;
         std::size_t home = static_cast<std::size_t>(r->id) % pairs_.size();
@@ -166,7 +188,7 @@ DistServeSystem::wire_faults(fault::FaultInjector &inj)
         }
         pairs_[home].prefill->enqueue_prefill(r);
     });
-    inj.set_crash_hook(
+    a.faults->set_crash_hook(
         [this](engine::Instance &inst, std::vector<Request *> &victims) {
             for (Pair &pr : pairs_) {
                 if (&inst != pr.prefill.get())
@@ -176,53 +198,6 @@ DistServeSystem::wire_faults(fault::FaultInjector &inj)
                 pr.transferring.clear();
             }
         });
-}
-
-void
-DistServeSystem::wire_trace(obs::TraceRecorder &rec)
-{
-    for (Pair &pr : pairs_) {
-        pr.prefill->set_trace(&rec);
-        pr.decode->set_trace(&rec);
-        pr.xfer->set_trace(&rec);
-    }
-}
-
-void
-DistServeSystem::wire_telemetry(obs::Telemetry &t)
-{
-    obs::MetricRegistry &reg = t.registry();
-    for (Pair &pr : pairs_) {
-        pr.prefill->register_metrics(reg);
-        pr.decode->register_metrics(reg);
-        hw::Channel *channels[] = {&pr.xfer->forward_channel(),
-                                   &pr.xfer->reverse_channel(),
-                                   &pr.xfer->staged_channel()};
-        for (hw::Channel *ch : channels) {
-            const std::string lbl = "link=\"" + ch->name() + "\"";
-            reg.gauge("ws_link_inflight_bytes", lbl,
-                      [ch] { return ch->inflight_bytes(); },
-                      "Bytes submitted but not yet delivered per link");
-            reg.counter("ws_link_bytes_total", lbl,
-                        [ch] { return ch->total_bytes(); },
-                        "Lifetime bytes submitted per link");
-            reg.counter("ws_link_transfers_total", lbl,
-                        [ch] {
-                            return static_cast<double>(ch->completed());
-                        },
-                        "Transfers completed per link");
-        }
-    }
-}
-
-void
-DistServeSystem::wire_audit(audit::SimAuditor &a)
-{
-    for (Pair &pr : pairs_) {
-        pr.prefill->set_audit(&a);
-        pr.decode->set_audit(&a);
-        pr.xfer->set_audit(&a);
-    }
 }
 
 void

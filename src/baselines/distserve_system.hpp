@@ -63,7 +63,6 @@ class DistServeSystem : public engine::ServingSystem
   public:
     explicit DistServeSystem(DistServeConfig cfg);
 
-    std::string name() const override { return "DistServe"; }
     std::size_t num_gpus() const override;
 
     engine::Instance &prefill_instance() { return *pairs_[0].prefill; }
@@ -83,10 +82,7 @@ class DistServeSystem : public engine::ServingSystem
     void replay(const std::vector<workload::Request> &trace,
                 double horizon) override;
     void fill_system_metrics(metrics::RunMetrics &m) override;
-    void wire_trace(obs::TraceRecorder &rec) override;
-    void wire_audit(audit::SimAuditor &a) override;
-    void wire_faults(fault::FaultInjector &inj) override;
-    void wire_telemetry(obs::Telemetry &t) override;
+    void wire(const engine::Attachments &a) override;
     std::vector<workload::Request> take_requests() override
     {
         return std::move(requests_);

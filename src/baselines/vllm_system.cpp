@@ -83,13 +83,23 @@ VllmColocatedSystem::replay(const std::vector<workload::Request> &trace,
 }
 
 void
-VllmColocatedSystem::wire_faults(fault::FaultInjector &inj)
+VllmColocatedSystem::wire(const engine::Attachments &a)
 {
-    for (auto &e : engines_)
-        inj.add_instance(e.get());
+    for (auto &e : engines_) {
+        if (a.telemetry)
+            e->register_metrics(a.telemetry->registry());
+        if (a.trace)
+            e->set_trace(a.trace);
+        if (a.audit)
+            e->set_audit(a.audit);
+        if (a.faults)
+            a.faults->add_instance(e.get());
+    }
+    if (!a.faults)
+        return;
     // No cross-engine KV: a victim restarts from scratch on the first
     // live engine, probing round-robin from its home engine.
-    inj.set_redispatch([this](Request *r) {
+    a.faults->set_redispatch([this](Request *r) {
         r->prefilled = 0;
         r->generated = 0;
         std::size_t n = engines_.size();
@@ -105,27 +115,6 @@ VllmColocatedSystem::wire_faults(fault::FaultInjector &inj)
         // request after its repair.
         engines_[home]->enqueue_prefill(r);
     });
-}
-
-void
-VllmColocatedSystem::wire_trace(obs::TraceRecorder &rec)
-{
-    for (auto &e : engines_)
-        e->set_trace(&rec);
-}
-
-void
-VllmColocatedSystem::wire_telemetry(obs::Telemetry &t)
-{
-    for (auto &e : engines_)
-        e->register_metrics(t.registry());
-}
-
-void
-VllmColocatedSystem::wire_audit(audit::SimAuditor &a)
-{
-    for (auto &e : engines_)
-        e->set_audit(&a);
 }
 
 void

@@ -51,7 +51,6 @@ class VllmColocatedSystem : public engine::ServingSystem
   public:
     explicit VllmColocatedSystem(VllmConfig cfg);
 
-    std::string name() const override { return "vLLM"; }
     std::size_t num_gpus() const override;
 
     engine::Instance &engine_instance(std::size_t i) { return *engines_[i]; }
@@ -62,10 +61,7 @@ class VllmColocatedSystem : public engine::ServingSystem
     void replay(const std::vector<workload::Request> &trace,
                 double horizon) override;
     void fill_system_metrics(metrics::RunMetrics &m) override;
-    void wire_trace(obs::TraceRecorder &rec) override;
-    void wire_audit(audit::SimAuditor &a) override;
-    void wire_faults(fault::FaultInjector &inj) override;
-    void wire_telemetry(obs::Telemetry &t) override;
+    void wire(const engine::Attachments &a) override;
     std::vector<workload::Request> take_requests() override
     {
         return std::move(requests_);

@@ -30,8 +30,8 @@ make_cluster_topology(const ClusterConfig &cfg)
     return hw::Topology(tc);
 }
 
-/** Pod k's RNG stream; k = 0 keeps the base seed so a 1-pod cluster
- *  reproduces WindServeSystem byte-for-byte. */
+/** Pod k's RNG stream; k = 0 keeps the base seed, so a 1-pod cluster
+ *  runs on the configured seed itself. */
 std::uint64_t
 pod_seed(std::uint64_t base, std::size_t k)
 {
@@ -65,8 +65,7 @@ ClusterServeSystem::ClusterServeSystem(ClusterConfig cfg)
     // Multi-pod clusters are partitioned into logical processes: each
     // pod simulates on its own kernel; the hub (this->sim_) keeps the
     // arrivals, the balancer, the NIC fabric and the chaos engine. A
-    // 1-pod cluster shares the hub kernel — the historical (and
-    // WindServeSystem-identical) path.
+    // 1-pod cluster shares the hub kernel.
     if (multi) {
         ctl_latency_ = cluster_lookahead_floor(topo_);
         pod_sims_.reserve(total);
@@ -84,15 +83,9 @@ ClusterServeSystem::ClusterServeSystem(ClusterConfig cfg)
 
         PodHooks hooks;
         hooks.on_finished = [this, k](Request *r) {
-            // Balancer accounting lives on the hub, whose clock trails
-            // a pod mid-window: ship a zero-delay message instead (the
-            // release lands at the exact finish timestamp).
-            if (!lp_ || lp_->in_hub_phase()) {
-                retire_finished(r);
-                return;
-            }
-            lp_->post(pod_sims_[k]->now(),
-                      [this, r] { retire_finished(r); });
+            // Balancer accounting lives on the hub (the release lands
+            // at the exact finish timestamp).
+            to_hub(k, [this, r] { retire_finished(r); });
         };
         hooks.offload_decode = [this](Pod &p, Request *r) {
             return maybe_offload(p, r);
@@ -108,12 +101,8 @@ ClusterServeSystem::ClusterServeSystem(ClusterConfig cfg)
             // The injector runs on the hub; recovery-window closes that
             // happen mid-window travel as zero-delay messages.
             hooks.decode_ready = [this](Pod &p, Request *r) {
-                if (!lp_ || lp_->in_hub_phase()) {
-                    faults()->note_decode_ready(r);
-                    return;
-                }
-                lp_->post(pod_sims_[p.index()]->now(),
-                          [this, r] { faults()->note_decode_ready(r); });
+                to_hub(p.index(),
+                       [this, r] { faults()->note_decode_ready(r); });
             };
         }
         pods_.push_back(std::make_unique<Pod>(
@@ -181,31 +170,16 @@ ClusterServeSystem::ClusterServeSystem(ClusterConfig cfg)
             kvcache::BackupRegistry::Listener lis;
             lis.on_record = [this, k](kvcache::ReqId id,
                                       std::size_t tokens) {
-                auto fn = [this, k, id, tokens] {
+                to_hub(k, [this, k, id, tokens] {
                     ctrl_->directory().record(id, k, tokens);
-                };
-                if (!lp_ || lp_->in_hub_phase())
-                    fn();
-                else
-                    lp_->post(pod_sims_[k]->now(), fn);
+                });
             };
             lis.on_drop = [this, k](kvcache::ReqId id) {
-                auto fn = [this, k, id] {
-                    ctrl_->directory().drop(id, k);
-                };
-                if (!lp_ || lp_->in_hub_phase())
-                    fn();
-                else
-                    lp_->post(pod_sims_[k]->now(), fn);
+                to_hub(k, [this, k, id] { ctrl_->directory().drop(id, k); });
             };
             lis.on_clear = [this, k] {
-                auto fn = [this, k] {
-                    ctrl_->directory().invalidate_pod(k);
-                };
-                if (!lp_ || lp_->in_hub_phase())
-                    fn();
-                else
-                    lp_->post(pod_sims_[k]->now(), fn);
+                to_hub(k,
+                       [this, k] { ctrl_->directory().invalidate_pod(k); });
             };
             pods_[k]->backup_registry().set_listener(std::move(lis));
         }
@@ -408,43 +382,63 @@ ClusterServeSystem::sweep_cross_transfers(Pod &src,
 }
 
 void
-ClusterServeSystem::wire_trace(obs::TraceRecorder &rec)
+ClusterServeSystem::wire(const engine::Attachments &a)
 {
-    trace_master_ = &rec;
-    if (!pod_sims_.empty()) {
-        // Each logical process records into a private shard on its own
-        // timebase; replay() absorbs the shards back into the master in
-        // pod order, which fixes the export byte order.
-        trace_shards_.reserve(pods_.size());
-        for (std::size_t k = 0; k < pods_.size(); ++k) {
-            trace_shards_.push_back(
-                std::make_unique<obs::TraceRecorder>(*pod_sims_[k]));
-            pods_[k]->wire_trace(*trace_shards_[k]);
+    const bool multi = !pod_sims_.empty();
+    if (a.telemetry) {
+        obs::Telemetry &t = *a.telemetry;
+        telemetry_tick_ = std::max(t.config().sample_every, 0.0);
+        if (multi) {
+            for (auto &s : pod_sims_)
+                t.arm_lp(*s); // attribute pod events to the profiler
+            if (t.journal()) {
+                // Pod-side decisions journal into per-pod shards;
+                // replay() merges them back (time order, pod-index
+                // tie-break).
+                journal_master_ = t.journal();
+                journal_shards_.reserve(pods_.size());
+                for (auto &p : pods_) {
+                    journal_shards_.push_back(
+                        std::make_unique<obs::DecisionJournal>());
+                    p->set_journal_shard(journal_shards_.back().get());
+                }
+            }
         }
-    } else {
-        for (auto &p : pods_)
-            p->wire_trace(rec);
     }
-    for (auto &nic : nics_)
-        nic->set_trace(&rec, "interconnect", nic->name());
-}
-
-void
-ClusterServeSystem::wire_audit(audit::SimAuditor &a)
-{
-    for (auto &p : pods_)
-        p->wire_audit(a);
-    for (auto &nic : nics_)
-        nic->set_audit(&a);
-    if (ctrl_)
-        ctrl_->set_audit(&a);
-}
-
-void
-ClusterServeSystem::wire_faults(fault::FaultInjector &inj)
-{
-    for (auto &p : pods_)
-        p->wire_faults(inj);
+    if (a.trace) {
+        trace_master_ = a.trace;
+        if (multi) {
+            // Each logical process records into a private shard on its
+            // own timebase; replay() absorbs the shards back into the
+            // master in pod order, which fixes the export byte order.
+            trace_shards_.reserve(pods_.size());
+            for (auto &s : pod_sims_)
+                trace_shards_.push_back(
+                    std::make_unique<obs::TraceRecorder>(*s));
+        }
+    }
+    for (std::size_t k = 0; k < pods_.size(); ++k) {
+        engine::Attachments pa = a;
+        if (multi && pa.trace)
+            pa.trace = trace_shards_[k].get();
+        pods_[k]->wire(pa, multi ? "pod=\"" + std::to_string(k) + "\""
+                                 : std::string());
+    }
+    if (a.telemetry)
+        wire_cluster_telemetry(*a.telemetry);
+    if (a.trace) {
+        for (auto &nic : nics_)
+            nic->set_trace(a.trace, "interconnect", nic->name());
+    }
+    if (a.audit) {
+        for (auto &nic : nics_)
+            nic->set_audit(a.audit);
+        if (ctrl_)
+            ctrl_->set_audit(a.audit);
+    }
+    if (!a.faults)
+        return;
+    fault::FaultInjector &inj = *a.faults;
     for (auto &nic : nics_)
         inj.add_shared_channel(nic.get());
     // Node fault domains: every instance of every pod on the node goes
@@ -495,63 +489,33 @@ ClusterServeSystem::wire_faults(fault::FaultInjector &inj)
 }
 
 void
-ClusterServeSystem::wire_telemetry(obs::Telemetry &t)
+ClusterServeSystem::wire_cluster_telemetry(obs::Telemetry &t)
 {
-    telemetry_tick_ = std::max(t.config().sample_every, 0.0);
-    if (!pod_sims_.empty()) {
-        for (auto &s : pod_sims_)
-            t.arm_lp(*s); // attribute pod events to the profiler
-        if (t.journal()) {
-            // Pod-side decisions journal into per-pod shards; replay()
-            // merges them back (time order, pod-index tie-break).
-            journal_master_ = t.journal();
-            journal_shards_.reserve(pods_.size());
-            for (auto &p : pods_) {
-                journal_shards_.push_back(
-                    std::make_unique<obs::DecisionJournal>());
-                p->set_journal_shard(journal_shards_.back().get());
-            }
-        }
-    }
-    for (std::size_t k = 0; k < pods_.size(); ++k) {
-        pods_[k]->wire_telemetry(t, "pod=\"" + std::to_string(k) + "\"");
-    }
     obs::MetricRegistry &reg = t.registry();
-    for (auto &nic_ptr : nics_) {
-        hw::SharedChannel *nic = nic_ptr.get();
-        const std::string lbl = "link=\"" + nic->name() + "\"";
-        reg.gauge("ws_link_inflight_bytes", lbl,
-                  [nic] { return nic->inflight_bytes(); },
-                  "Bytes submitted but not yet delivered per link");
-        reg.counter("ws_link_bytes_total", lbl,
-                    [nic] { return nic->total_bytes(); },
-                    "Lifetime bytes submitted per link");
-        reg.counter("ws_link_transfers_total", lbl,
-                    [nic] {
-                        return static_cast<double>(nic->completed());
+    for (auto &nic : nics_)
+        reg.link(*nic);
+    if (!pod_sims_.empty()) {
+        reg.counter("ws_cluster_requests_routed_total", "",
+                    [this] {
+                        return static_cast<double>(balancer_.routed());
                     },
-                    "Transfers completed per link");
-    }
-    reg.counter("ws_cluster_requests_routed_total", "",
-                [this] {
-                    return static_cast<double>(balancer_.routed());
-                },
-                "Requests admitted through the cross-pod balancer");
-    reg.counter("ws_cluster_cross_offloads_total", "",
-                [this] {
-                    return static_cast<double>(cross_offloads_);
-                },
-                "Decode offloads shipped to another pod");
-    reg.counter("ws_cluster_cross_redispatches_total", "",
-                [this] {
-                    return static_cast<double>(cross_redispatches_);
-                },
-                "Crash victims re-homed to another pod");
-    for (std::size_t k = 0; k < pods_.size(); ++k) {
-        reg.gauge("ws_cluster_pod_load",
-                  "pod=\"" + std::to_string(k) + "\"",
-                  [this, k] { return balancer_.load(k); },
-                  "Outstanding tokens charged to each pod");
+                    "Requests admitted through the cross-pod balancer");
+        reg.counter("ws_cluster_cross_offloads_total", "",
+                    [this] {
+                        return static_cast<double>(cross_offloads_);
+                    },
+                    "Decode offloads shipped to another pod");
+        reg.counter("ws_cluster_cross_redispatches_total", "",
+                    [this] {
+                        return static_cast<double>(cross_redispatches_);
+                    },
+                    "Crash victims re-homed to another pod");
+        for (std::size_t k = 0; k < pods_.size(); ++k) {
+            reg.gauge("ws_cluster_pod_load",
+                      "pod=\"" + std::to_string(k) + "\"",
+                      [this, k] { return balancer_.load(k); },
+                      "Outstanding tokens charged to each pod");
+        }
     }
     if (ctrl_) {
         // The control plane runs on the hub timeline; its failover

@@ -28,25 +28,26 @@
  * pod parks the request
  * (Pod::hold_for_offload) and the hub scans remote pressure one
  * lookahead later, when every pod's state at that timestamp is exact.
- * A single-pod cluster keeps the historical shared-simulator path.
+ * A single-pod cluster runs its pod on the hub simulator itself.
  *
  * Determinism: pod k runs on seed `base ^ (k * golden)` (pod 0 keeps
  * the base seed), the balancer is RNG-free, and all cross-pod traffic
  * flows through the hub simulator's timeline — a cluster run stays a
  * pure function of (config, workload, seed), bit-identical at any
- * --jobs. A 1-node/1-pod cluster reproduces WindServeSystem
- * byte-for-byte: same construction order, same RNG forks, same
- * instance and channel names, no NIC channels.
+ * --jobs. A 1-node/1-pod cluster is the paper's single testbed
+ * (WindServeSystem): no logical processes, no NIC channels, no pod
+ * prefixes on instance, channel or metric names and no cluster-only
+ * metric families.
  */
 #pragma once
 
 #include <map>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "core/pod.hpp"
 #include "core/pod_balancer.hpp"
-#include "core/windserve_system.hpp"
 #include "ctrl/control_plane.hpp"
 #include "engine/serving_system.hpp"
 #include "hw/topology.hpp"
@@ -105,7 +106,6 @@ class ClusterServeSystem : public engine::ServingSystem
   public:
     explicit ClusterServeSystem(ClusterConfig cfg);
 
-    std::string name() const override { return "WindServe-Cluster"; }
     std::size_t num_gpus() const override;
     /** The HUB simulator (arrivals, balancer, NICs, chaos engine). */
     sim::Simulator &simulator() override { return sim_; }
@@ -157,10 +157,7 @@ class ClusterServeSystem : public engine::ServingSystem
     void replay(const std::vector<workload::Request> &trace,
                 double horizon) override;
     void fill_system_metrics(metrics::RunMetrics &m) override;
-    void wire_trace(obs::TraceRecorder &rec) override;
-    void wire_audit(audit::SimAuditor &a) override;
-    void wire_faults(fault::FaultInjector &inj) override;
-    void wire_telemetry(obs::Telemetry &t) override;
+    void wire(const engine::Attachments &a) override;
     std::vector<workload::Request> take_requests() override
     {
         return std::move(requests_);
@@ -198,6 +195,22 @@ class ClusterServeSystem : public engine::ServingSystem
     /** Pods whose instances are not both down. */
     std::vector<bool> live_pods() const;
 
+    /** Run @p fn on the hub timeline: at once during a hub phase (or
+     *  without LPs), else as a zero-delay message at pod @p k's clock —
+     *  mid-window the hub clock trails the pod's. */
+    template <class Fn>
+    void to_hub(std::size_t k, Fn &&fn)
+    {
+        if (!lp_ || lp_->in_hub_phase())
+            fn();
+        else
+            lp_->post(pod_sims_[k]->now(), std::forward<Fn>(fn));
+    }
+
+    /** Cluster-level telemetry: NIC links, ws_cluster_* (multi-pod
+     *  only) and ws_ctrl_* families. */
+    void wire_cluster_telemetry(obs::Telemetry &t);
+
     ClusterConfig cfg_;
     sim::Simulator sim_; ///< hub LP: arrivals, balancer, NICs, faults
     hw::Topology topo_; ///< cluster-wide (NIC links); pods own islands
@@ -208,8 +221,8 @@ class ClusterServeSystem : public engine::ServingSystem
     std::unique_ptr<sim::LpScheduler> lp_;
     /** cluster_lookahead_floor(topo_); 0 for single-pod clusters. */
     double ctl_latency_ = 0.0;
-    /** Telemetry sample period, captured by wire_telemetry() so the
-     *  LP windows never run a pod past a pending sample tick. */
+    /** Telemetry sample period, captured by wire() so the LP windows
+     *  never run a pod past a pending sample tick. */
     double telemetry_tick_ = 0.0;
     /** Per-pod observability shards (multi-pod, merged in pod order
      *  at replay end). */

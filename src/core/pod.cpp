@@ -2,7 +2,7 @@
 
 #include <stdexcept>
 
-#include "core/windserve_system.hpp"
+#include "engine/serving_system.hpp"
 #include "fault/fault_injector.hpp"
 #include "obs/telemetry.hpp"
 #include "simcore/log.hpp"
@@ -132,100 +132,77 @@ Pod::Pod(sim::Simulator &sim, const WindServeConfig &cfg, PodHooks hooks,
 Pod::~Pod() = default;
 
 void
-Pod::wire_trace(obs::TraceRecorder &rec)
+Pod::wire(const engine::Attachments &a, const std::string &pod_label)
 {
-    prefill_->set_trace(&rec);
-    decode_->set_trace(&rec);
-    xfer_->set_trace(&rec);
-    migration_->set_trace(&rec);
-    backup_->set_trace(&rec);
-    scheduler_->set_trace(&rec);
-}
+    if (obs::Telemetry *t = a.telemetry) {
+        telemetry_ = t;
+        obs::MetricRegistry &reg = t->registry();
+        prefill_->register_metrics(reg);
+        decode_->register_metrics(reg);
+        reg.link(xfer_->forward_channel());
+        reg.link(xfer_->reverse_channel());
+        reg.link(xfer_->staged_channel());
 
-void
-Pod::wire_audit(audit::SimAuditor &a)
-{
-    audit_ = &a;
-    prefill_->set_audit(&a);
-    decode_->set_audit(&a);
-    xfer_->set_audit(&a);
-    migration_->set_audit(&a);
-    scheduler_->set_audit(&a);
-}
-
-void
-Pod::wire_faults(fault::FaultInjector &inj)
-{
-    faults_ = &inj;
-    inj.add_instance(prefill_.get());
-    inj.add_instance(decode_.get());
-    inj.add_channel(&xfer_->forward_channel());
-    inj.add_channel(&xfer_->reverse_channel());
-    xfer_->set_faults(&inj);
-    // Chaos armed: checkpoint proactively so crash victims have a
-    // prefill-side KV copy to resume from (the backup-aware half of
-    // backup-aware re-dispatch).
-    backup_->fault_tolerance_mode();
-}
-
-void
-Pod::wire_telemetry(obs::Telemetry &t, const std::string &pod_label)
-{
-    telemetry_ = &t;
-    obs::MetricRegistry &reg = t.registry();
-    prefill_->register_metrics(reg);
-    decode_->register_metrics(reg);
-
-    hw::Channel *channels[] = {&xfer_->forward_channel(),
-                               &xfer_->reverse_channel(),
-                               &xfer_->staged_channel()};
-    for (hw::Channel *ch : channels) {
-        const std::string lbl = "link=\"" + ch->name() + "\"";
-        reg.gauge("ws_link_inflight_bytes", lbl,
-                  [ch] { return ch->inflight_bytes(); },
-                  "Bytes submitted but not yet delivered per link");
-        reg.counter("ws_link_bytes_total", lbl,
-                    [ch] { return ch->total_bytes(); },
-                    "Lifetime bytes submitted per link");
-        reg.counter("ws_link_transfers_total", lbl,
-                    [ch] {
-                        return static_cast<double>(ch->completed());
+        const Coordinator *coord = &scheduler_->coordinator();
+        reg.counter("ws_sched_dispatches_total", pod_label,
+                    [coord] {
+                        return static_cast<double>(coord->dispatches());
                     },
-                    "Transfers completed per link");
+                    "Dynamic prefill dispatches to the decode instance");
+        reg.counter("ws_sched_reschedules_total", pod_label,
+                    [coord] {
+                        return static_cast<double>(coord->reschedules());
+                    },
+                    "Dynamic rescheduling migrations started");
+        reg.gauge("ws_migrations_active", pod_label,
+                  [this] {
+                      return static_cast<double>(migration_->active());
+                  },
+                  "Stall-free migrations currently in flight");
+        reg.counter("ws_migrations_completed_total", pod_label,
+                    [this] {
+                        return static_cast<double>(
+                            migration_->completed());
+                    },
+                    "Stall-free migrations completed");
+        reg.counter("ws_backups_taken_total", pod_label,
+                    [this] {
+                        return static_cast<double>(
+                            backup_->backups_taken());
+                    },
+                    "Proactive KV backups taken");
+        // The owner's per-pod shard when it set one, else the shared
+        // journal.
+        scheduler_->coordinator().set_journal(journal());
     }
-
-    const Coordinator *coord = &scheduler_->coordinator();
-    reg.counter("ws_sched_dispatches_total", pod_label,
-                [coord] {
-                    return static_cast<double>(coord->dispatches());
-                },
-                "Dynamic prefill dispatches to the decode instance");
-    reg.counter("ws_sched_reschedules_total", pod_label,
-                [coord] {
-                    return static_cast<double>(coord->reschedules());
-                },
-                "Dynamic rescheduling migrations started");
-    reg.gauge("ws_migrations_active", pod_label,
-              [this] {
-                  return static_cast<double>(migration_->active());
-              },
-              "Stall-free migrations currently in flight");
-    reg.counter("ws_migrations_completed_total", pod_label,
-                [this] {
-                    return static_cast<double>(migration_->completed());
-                },
-                "Stall-free migrations completed");
-    reg.counter("ws_backups_taken_total", pod_label,
-                [this] {
-                    return static_cast<double>(backup_->backups_taken());
-                },
-                "Proactive KV backups taken");
-
-    // Under intra-run parallelism dispatch decisions are made on the
-    // pod's own thread: write them into the pod's private shard (merged
-    // at end of replay) instead of the shared journal.
-    scheduler_->coordinator().set_journal(journal_ ? journal_
-                                                   : t.journal());
+    if (obs::TraceRecorder *rec = a.trace) {
+        prefill_->set_trace(rec);
+        decode_->set_trace(rec);
+        xfer_->set_trace(rec);
+        migration_->set_trace(rec);
+        backup_->set_trace(rec);
+        scheduler_->set_trace(rec);
+    }
+    if (a.audit) {
+        audit_ = a.audit;
+        prefill_->set_audit(a.audit);
+        decode_->set_audit(a.audit);
+        xfer_->set_audit(a.audit);
+        migration_->set_audit(a.audit);
+        scheduler_->set_audit(a.audit);
+    }
+    if (fault::FaultInjector *inj = a.faults) {
+        faults_ = inj;
+        inj->add_instance(prefill_.get());
+        inj->add_instance(decode_.get());
+        inj->add_channel(&xfer_->forward_channel());
+        inj->add_channel(&xfer_->reverse_channel());
+        xfer_->set_faults(inj);
+        // Chaos armed: checkpoint proactively so crash victims have a
+        // prefill-side KV copy to resume from (the backup-aware half
+        // of backup-aware re-dispatch).
+        backup_->fault_tolerance_mode();
+    }
 }
 
 void

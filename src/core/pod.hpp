@@ -6,10 +6,9 @@
  * A pod is the unit of sharding in a multi-node cluster: it owns one
  * NVLink island's worth of GPUs and runs the paper's full Fig. 4
  * pipeline locally (dispatch, SBD, stall-free rescheduling, proactive
- * backups). WindServeSystem wraps exactly one Pod (the original
- * single-testbed deployment, bit-identical to the pre-pod code);
- * ClusterServeSystem owns many and routes between them through the
- * PodHooks seams below.
+ * backups). ClusterServeSystem owns one pod per island and routes
+ * between them through the PodHooks seams below; the paper's single
+ * testbed is a one-pod cluster (WindServeSystem).
  *
  * The hooks are the only cross-pod surface:
  *  - on_finished     (required) request retired — the owner decrements
@@ -24,9 +23,9 @@
  *  - on_prefill_crash (optional) lets the owner sweep requests whose
  *                    cross-pod KV copy out of this pod is in flight.
  *
- * All hooks default to "not installed", which makes a hook-free Pod
- * behave exactly like the historical WindServeSystem internals — the
- * construction order (and hence every RNG fork) is unchanged.
+ * A hook left uninstalled keeps the request pod-local, so the
+ * construction order (and hence every RNG fork) never depends on the
+ * cluster around the pod.
  */
 #pragma once
 
@@ -41,6 +40,9 @@
 #include "transfer/kv_transfer.hpp"
 #include "transfer/migration.hpp"
 
+namespace windserve::engine {
+struct Attachments;
+}
 namespace windserve::fault {
 class FaultInjector;
 }
@@ -51,7 +53,49 @@ class Telemetry;
 
 namespace windserve::core {
 
-struct WindServeConfig;
+/** Full configuration of one WindServe pod (the paper's Fig. 4 pair). */
+struct WindServeConfig {
+    model::ModelSpec model = model::ModelSpec::opt_13b();
+    hw::TopologyConfig topology;
+    model::ParallelismConfig prefill_parallelism{2, 1};
+    model::ParallelismConfig decode_parallelism{2, 1};
+    model::CostModelParams cost_params;
+
+    CoordinatorConfig coordinator;
+    transfer::KvTransferConfig transfer{
+        transfer::TransferPolicy::Overlapped, 0.05, 0.25, ""};
+    transfer::MigrationConfig migration;
+    transfer::BackupManager::Config backup;
+
+    /** SLOs drive the assist budget and (by default) `thrd`. */
+    double ttft_slo = 0.25;
+    double tpot_slo = 0.10;
+
+    std::size_t block_size = 16;
+    std::size_t max_batch_size = 256;
+    std::size_t max_prefill_tokens = 4096;
+    std::size_t chunk_size = 512;
+    /** Chunk size the prefill instance uses while hosting migrated
+     *  decodes (large = keep prefill throughput). */
+    std::size_t prefill_chunk_size = 2048;
+    /** Fraction of decode KV capacity reserved from dispatch. */
+    double dispatch_reserve_fraction = 0.06;
+
+    /** Stream-based disaggregation on the decode instance (§3.4). */
+    bool enable_sbd = true;
+
+    /** Preempt to host memory on KV exhaustion (park when disabled). */
+    bool swap_enabled = true;
+    /** Host DRAM budget per instance's swap pool. */
+    double host_memory_bytes = 256e9;
+    /** Override the derived per-instance KV capacity (tokens); 0 keeps
+     *  the cost-model value. For tests and capacity studies. */
+    std::size_t kv_capacity_tokens_override = 0;
+
+    double exec_noise_sigma = 0.03;
+    std::uint64_t seed = 7;
+};
+
 class Pod;
 
 /** Cross-pod seams; see file comment. */
@@ -68,9 +112,9 @@ struct PodHooks {
     /**
      * A request reached a decode queue (or finished) — the chaos
      * engine's recovery-window close. Installed by owners whose fault
-     * injector lives on a different simulator than the pod (intra-run
-     * parallel clusters route the notification through the hub's
-     * message channel); when absent the pod calls
+     * injector lives on a different simulator than the pod (multi-pod
+     * clusters route the notification through the hub's message
+     * channel); when absent the pod calls
      * FaultInjector::note_decode_ready() directly. Only invoked while
      * a fault injector is wired.
      */
@@ -139,26 +183,25 @@ class Pod
     /** Flush per-instance utilization stats at end of run. */
     void finalize_stats();
 
-    // ---- wiring (mirrors ServingSystem's attachment order) ----
-
-    void wire_trace(obs::TraceRecorder &rec);
-    void wire_audit(audit::SimAuditor &a);
-    /** Register instances/channels with @p inj (in the pod's canonical
-     *  order) and arm fault-tolerance mode. Does NOT install the
-     *  injector's redispatch/crash hooks — the owner routes those. */
-    void wire_faults(fault::FaultInjector &inj);
-    /** Register metric families. @p pod_label ("" or "pod=\"k\"") tags
-     *  the per-pod scheduler/migration/backup series; channel and
-     *  instance series are already unique via name_prefix. */
-    void wire_telemetry(obs::Telemetry &t, const std::string &pod_label);
+    /**
+     * Point the pod's components at the non-null attachments of @p a,
+     * in ServingSystem::wire()'s order. Telemetry registers the
+     * instance, link and per-pod series; @p pod_label ("" or
+     * "pod=\"k\"") tags the scheduler/migration/backup ones (channel
+     * and instance series are already unique via name_prefix). Faults
+     * register instances and channels in the pod's canonical order and
+     * arm fault-tolerance mode; the injector's redispatch/crash hooks
+     * are the owner's to route.
+     */
+    void wire(const engine::Attachments &a, const std::string &pod_label);
 
     /**
      * Route this pod's decision-journal entries (dispatch decisions,
      * post-fault re-dispatches) into @p j instead of the telemetry's
-     * shared journal. Under intra-run parallelism each pod writes a
-     * private shard on its own thread; the owner merges the shards
-     * back into the shared journal at end of replay. Call before
-     * wire_telemetry().
+     * shared journal. A pod on its own logical process keeps a private
+     * shard on its own timebase; the owner merges the shards back into
+     * the shared journal at end of replay in a fixed order. Call
+     * before wire().
      */
     void set_journal_shard(obs::DecisionJournal *j) { journal_ = j; }
 

@@ -18,12 +18,12 @@ ServingSystem::total_events_fired()
 }
 
 void
-ServingSystem::link_attachments()
+ServingSystem::link_attachments(const Attachments &fresh)
 {
-    if (telemetry_ && faults_ && !fault_counters_registered_) {
-        // The chaos-engine counters only exist once BOTH attachments do,
-        // whichever attached first.
-        fault_counters_registered_ = true;
+    if (!faults_)
+        return;
+    if (telemetry_ && (fresh.telemetry || fresh.faults)) {
+        // The chaos-engine counters exist once both attachments do.
         obs::MetricRegistry &reg = telemetry_->registry();
         const fault::FaultInjector *inj = faults_.get();
         const std::string help =
@@ -77,66 +77,12 @@ ServingSystem::link_attachments()
                     },
                     help);
     }
-    if (!faults_)
-        return;
     if (audit_) {
         faults_->set_audit(audit_.get());
         audit_->set_faults_enabled(true);
     }
     if (trace_)
         faults_->set_trace(trace_.get());
-}
-
-obs::Telemetry *
-ServingSystem::attach_telemetry(const obs::TelemetryConfig &cfg)
-{
-    if (!telemetry_) {
-        telemetry_ = std::make_unique<obs::Telemetry>(cfg);
-        wire_telemetry(*telemetry_);
-        link_attachments();
-        // Arm BEFORE the other attachments so the self-profiler wraps
-        // every event they schedule (notably the fault-plan arming).
-        telemetry_->arm(simulator());
-    }
-    return telemetry_.get();
-}
-
-obs::TraceRecorder *
-ServingSystem::attach_trace()
-{
-    if (!trace_) {
-        trace_ = std::make_unique<obs::TraceRecorder>(simulator());
-        wire_trace(*trace_);
-        link_attachments();
-    }
-    return trace_.get();
-}
-
-audit::SimAuditor *
-ServingSystem::attach_audit(audit::AuditConfig cfg)
-{
-    if (!audit_) {
-        audit_ = std::make_unique<audit::SimAuditor>(simulator(),
-                                                     std::move(cfg));
-        wire_audit(*audit_);
-        link_attachments();
-    }
-    return audit_.get();
-}
-
-fault::FaultInjector *
-ServingSystem::attach_faults(const fault::FaultConfig &cfg)
-{
-    if (!faults_) {
-        faults_ = std::make_unique<fault::FaultInjector>(
-            simulator(), fault::FaultPlan::generate(cfg));
-        // Cross-link before wire_faults(): recovery hooks registered by
-        // the system may fire audit/trace callbacks from day one.
-        link_attachments();
-        wire_faults(*faults_);
-        faults_->arm();
-    }
-    return faults_.get();
 }
 
 RunResult
@@ -147,18 +93,36 @@ ServingSystem::run(const std::vector<workload::Request> &trace,
         throw std::invalid_argument(
             "RunOptions::intra_threads must be 1: runs are single-threaded "
             "(use sweep-level --jobs for parallelism)");
-    if (opts.telemetry)
-        attach_telemetry(*opts.telemetry);
-    if (opts.tracing)
-        attach_trace();
-    if (opts.audit)
-        attach_audit(*opts.audit);
-    if (opts.faults) {
+    // Only attachments the system does not hold yet are created, so a
+    // repeated run() keeps (and never re-wires) the existing ones.
+    Attachments fresh;
+    if (opts.telemetry && !telemetry_) {
+        telemetry_ = std::make_unique<obs::Telemetry>(*opts.telemetry);
+        fresh.telemetry = telemetry_.get();
+    }
+    if (opts.tracing && !trace_) {
+        trace_ = std::make_unique<obs::TraceRecorder>(simulator());
+        fresh.trace = trace_.get();
+    }
+    if (opts.audit && !audit_) {
+        audit_ = std::make_unique<audit::SimAuditor>(simulator(),
+                                                     *opts.audit);
+        fresh.audit = audit_.get();
+    }
+    if (opts.faults && !faults_) {
         fault::FaultConfig fc = *opts.faults;
         if (fc.horizon <= 0.0)
             fc.horizon = opts.horizon;
-        attach_faults(fc);
+        faults_ = std::make_unique<fault::FaultInjector>(
+            simulator(), fault::FaultPlan::generate(fc));
+        fresh.faults = faults_.get();
     }
+    wire(fresh);
+    link_attachments(fresh);
+    if (fresh.telemetry)
+        fresh.telemetry->arm(simulator());
+    if (fresh.faults)
+        fresh.faults->arm();
 
     replay(trace, opts.horizon);
 

@@ -50,10 +50,10 @@ struct RunResult {
 /**
  * Everything that shapes one run() call: the SLO the metrics are
  * collected against, the horizon, and the optional per-run attachments
- * (trace recorder, invariant auditor, chaos engine). One struct instead
- * of three copy-pasted enable_*() opt-ins; each attachment is created,
- * wired, and cross-linked by run() itself, in a fixed order, so a
- * configured run is a pure function of (RunOptions, trace, seed).
+ * (trace recorder, invariant auditor, chaos engine, telemetry). Each
+ * attachment is created, wired, and cross-linked by run() itself, in a
+ * fixed order, so a configured run is a pure function of (RunOptions,
+ * trace, seed).
  *
  * An attachment left disabled keeps the run byte-identical to a bare
  * one — tracing, auditing, and an empty fault schedule are all free
@@ -80,14 +80,22 @@ struct RunOptions {
     std::size_t intra_threads = 1;
 };
 
+/**
+ * The per-run attachments a system wires its components into. Each
+ * pointer is nullptr when the matching RunOptions field leaves it off.
+ */
+struct Attachments {
+    obs::Telemetry *telemetry = nullptr;
+    obs::TraceRecorder *trace = nullptr;
+    audit::SimAuditor *audit = nullptr;
+    fault::FaultInjector *faults = nullptr;
+};
+
 /** Abstract serving system driven by the experiment harness. */
 class ServingSystem
 {
   public:
     virtual ~ServingSystem();
-
-    /** Human-readable system name for tables. */
-    virtual std::string name() const = 0;
 
     /** GPUs this deployment occupies (for per-GPU rate normalisation). */
     virtual std::size_t num_gpus() const = 0;
@@ -120,11 +128,11 @@ class ServingSystem
     /**
      * Replay @p trace (sorted by arrival) until every request finishes
      * or the horizon elapses, then collect metrics against the SLO.
-     * Attachments requested in @p opts are created and wired first —
-     * telemetry, then tracing, then audit, then faults, the fixed
-     * cross-linking order (telemetry leads so the self-profiler wraps
-     * every event the later attachments schedule). Unfinished requests
-     * remain in their last state and count against SLO attainment.
+     * Attachments requested in @p opts that the system does not hold
+     * yet are created, handed to wire() in one call, cross-linked, and
+     * armed — telemetry before faults, so the self-profiler wraps every
+     * event the fault plan schedules. Unfinished requests remain in
+     * their last state and count against SLO attainment.
      *
      * One-shot: a system instance models a single deployment lifetime;
      * the per-request results are moved into the returned value.
@@ -152,48 +160,27 @@ class ServingSystem
     /** Surrender ownership of the per-request results after replay. */
     virtual std::vector<workload::Request> take_requests() = 0;
 
-    /** Point every traced component at @p rec (system-specific). */
-    virtual void wire_trace(obs::TraceRecorder &rec) { (void)rec; }
-
-    /** Point every audited component at @p a (system-specific). */
-    virtual void wire_audit(audit::SimAuditor &a) { (void)a; }
-
     /**
-     * Register fault targets (instances, channels) and recovery hooks
-     * on @p inj (system-specific). Called before the schedule is armed.
+     * Point the system's components at the run's attachments, in the
+     * fixed order telemetry (register instruments, hand out the
+     * decision journal), trace, audit, faults (register fault targets
+     * and recovery hooks). Called by run() with the attachments it
+     * just created, before any of them is armed and before replay.
      */
-    virtual void wire_faults(fault::FaultInjector &inj) { (void)inj; }
-
-    /**
-     * Register the system's instruments on @p t's MetricRegistry and
-     * hand the decision journal to the scheduler (system-specific).
-     * Called before the sampler is armed and before replay.
-     */
-    virtual void wire_telemetry(obs::Telemetry &t) { (void)t; }
+    virtual void wire(const Attachments &a) = 0;
 
   private:
-    /**
-     * The attachment internals behind the RunOptions path. Each
-     * attaches its component once (idempotent), wires it into the
-     * system via the matching wire_*() hook, and refreshes the
-     * cross-links between attachments.
-     */
-    obs::Telemetry *attach_telemetry(const obs::TelemetryConfig &cfg);
-    obs::TraceRecorder *attach_trace();
-    audit::SimAuditor *attach_audit(audit::AuditConfig cfg);
-    fault::FaultInjector *attach_faults(const fault::FaultConfig &cfg);
-
-    /** Point the attachments at each other (idempotent): the injector
-     *  reports into the recorder, the auditor, and the telemetry's
-     *  fault-counter instruments; the auditor relaxes its fatal-crash
-     *  checks once faults are expected. */
-    void link_attachments();
+    /** Point the attachments at each other: the injector reports into
+     *  the recorder, the auditor, and the telemetry's fault-counter
+     *  instruments (registered when either side is in @p fresh); the
+     *  auditor relaxes its fatal-crash checks once faults are
+     *  expected. */
+    void link_attachments(const Attachments &fresh);
 
     std::unique_ptr<obs::Telemetry> telemetry_;
     std::unique_ptr<obs::TraceRecorder> trace_;
     std::unique_ptr<audit::SimAuditor> audit_;
     std::unique_ptr<fault::FaultInjector> faults_;
-    bool fault_counters_registered_ = false;
 };
 
 } // namespace windserve::engine

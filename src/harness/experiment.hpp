@@ -12,7 +12,6 @@
 #include "baselines/distserve_system.hpp"
 #include "baselines/vllm_system.hpp"
 #include "core/cluster_system.hpp"
-#include "core/windserve_system.hpp"
 #include "fault/fault_plan.hpp"
 #include "harness/configs.hpp"
 #include "metrics/collector.hpp"
@@ -91,16 +90,12 @@ struct ExperimentConfig {
      * Cluster shape. The scenario describes ONE pod; the experiment
      * replicates it over `num_nodes * pods_per_node` pods and scales
      * the arrival rate by the same factor (the paper's linear rule).
-     * For the WindServe family >1 pod (or `sharded`) selects the
-     * sharded ClusterServeSystem; DistServe replicates PD pairs; vLLM
-     * multiplies its engine count. The 1/1 default is byte-identical
-     * to the historical single-node harness.
+     * The WindServe family runs as a ClusterServeSystem of that many
+     * pods (the 1/1 default is the paper's single testbed); DistServe
+     * replicates PD pairs; vLLM multiplies its engine count.
      */
     std::size_t num_nodes = 1;
     std::size_t pods_per_node = 1;
-    /** Force the sharded cluster path even for a 1-node/1-pod run
-     *  (sequential-vs-sharded differential testing). */
-    bool sharded = false;
     /** Cluster decode-offload watermark overrides (ClusterConfig
      *  defaults when empty). Benches and tests lower these to make the
      *  cross-pod offload path fire under moderate load. */

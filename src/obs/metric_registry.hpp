@@ -109,6 +109,27 @@ class MetricRegistry
     Histogram *histogram(std::string family, std::string labels,
                          Histogram::Options opts, std::string help = "");
 
+    /**
+     * Register the `ws_link_*` triple (bytes in flight, lifetime bytes,
+     * completed transfers) of @p ch under `link="<name>"`. Fits any
+     * channel type with name(), inflight_bytes(), total_bytes() and
+     * completed(); @p ch must outlive the registry's sampling.
+     */
+    template <class Channel>
+    void link(const Channel &ch)
+    {
+        const std::string lbl = "link=\"" + ch.name() + "\"";
+        gauge("ws_link_inflight_bytes", lbl,
+              [&ch] { return ch.inflight_bytes(); },
+              "Bytes submitted but not yet delivered per link");
+        counter("ws_link_bytes_total", lbl,
+                [&ch] { return ch.total_bytes(); },
+                "Lifetime bytes submitted per link");
+        counter("ws_link_transfers_total", lbl,
+                [&ch] { return static_cast<double>(ch.completed()); },
+                "Transfers completed per link");
+    }
+
     /** Sample every pull instrument at sim time @p t (appends one row
      *  to each series). Ticks must be strictly increasing. */
     void sample(double t);

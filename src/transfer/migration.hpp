@@ -165,8 +165,8 @@ class BackupManager
      * concurrent copies and a lower size floor. A deployment expecting
      * crashes pays reverse-channel bandwidth up front so victims can
      * resume from the prefill-side copy instead of recomputing. Only
-     * ever called from wire_faults(): fault-free runs keep the
-     * pressure-triggered policy bit for bit.
+     * called when a fault injector is wired: fault-free runs keep
+     * the pressure-triggered policy bit for bit.
      */
     void fault_tolerance_mode();
 

@@ -98,7 +98,6 @@
 #include "metrics/timeline.hpp"
 
 // experiment harness
-#include "harness/cluster.hpp"
 #include "harness/configs.hpp"
 #include "harness/experiment.hpp"
 #include "harness/fuzz.hpp"

@@ -160,6 +160,22 @@ TEST(FuzzAudit, MultiNodeSeedReplayIsExact)
                                        2, 3, true))
                   .checksum,
               0x95a551ec30244f81ULL);
+    // The single-node cases, fault-free and under chaos, recorded when
+    // a one-pod deployment still had its own assembly path: the
+    // one-pod cluster must keep reproducing them.
+    const struct {
+        bool chaos;
+        std::uint64_t checksum;
+        std::uint64_t events;
+    } single[] = {{false, 0xc8e9f0029c2ea74cULL, 2789},
+                  {true, 0x33d66a8243f092ULL, 2965}};
+    for (const auto &s : single) {
+        auto cfg = hs::make_fuzz_config(77, hs::SystemKind::WindServe,
+                                        s.chaos);
+        EXPECT_EQ(hs::run_fuzz_case(cfg).checksum, s.checksum) << s.chaos;
+        EXPECT_EQ(hs::run_experiment(cfg).events_fired, s.events)
+            << s.chaos;
+    }
 }
 
 TEST(FuzzAudit, NodeAxisDoesNotPerturbSingleNodeConfigs)

@@ -144,10 +144,16 @@ TEST_P(ServingInvariants, AllKvBlocksReleasedAtEnd)
         all_done &= r.finished();
     if (!all_done)
         GTEST_SKIP() << "not all requests finished within horizon";
-    if (auto *ws = dynamic_cast<windserve::core::WindServeSystem *>(
+    if (auto *cs = dynamic_cast<windserve::core::ClusterServeSystem *>(
             system_.get())) {
-        EXPECT_EQ(ws->prefill_instance().blocks().used_blocks(), 0u);
-        EXPECT_EQ(ws->decode_instance().blocks().used_blocks(), 0u);
+        for (std::size_t k = 0; k < cs->num_pods(); ++k) {
+            EXPECT_EQ(cs->pod(k).prefill_instance().blocks().used_blocks(),
+                      0u)
+                << "pod " << k;
+            EXPECT_EQ(cs->pod(k).decode_instance().blocks().used_blocks(),
+                      0u)
+                << "pod " << k;
+        }
     } else if (auto *ds =
                    dynamic_cast<windserve::baselines::DistServeSystem *>(
                        system_.get())) {
@@ -158,6 +164,8 @@ TEST_P(ServingInvariants, AllKvBlocksReleasedAtEnd)
                    system_.get())) {
         for (std::size_t i = 0; i < vs->num_engines(); ++i)
             EXPECT_EQ(vs->engine_instance(i).blocks().used_blocks(), 0u);
+    } else {
+        FAIL() << "unknown serving-system type";
     }
 }
 

@@ -236,13 +236,14 @@ TEST(Regression, MigrationsNeverLeakSourceBlocks)
     auto sys = hs::make_system(ec);
     auto trace = hs::make_trace(ec);
     auto rr = sys->run(trace, ec.scenario.slo, ec.horizon);
-    auto *ws = dynamic_cast<windserve::core::WindServeSystem *>(sys.get());
-    ASSERT_NE(ws, nullptr);
+    auto *cs = dynamic_cast<windserve::core::ClusterServeSystem *>(sys.get());
+    ASSERT_NE(cs, nullptr);
     for (const auto &r : rr.requests)
         ASSERT_TRUE(r.finished());
-    EXPECT_GT(ws->migration().completed(), 0u);
-    EXPECT_EQ(ws->decode_instance().blocks().used_blocks(), 0u);
-    EXPECT_EQ(ws->prefill_instance().blocks().used_blocks(), 0u);
+    windserve::core::Pod &pod = cs->pod(0);
+    EXPECT_GT(pod.migration().completed(), 0u);
+    EXPECT_EQ(pod.decode_instance().blocks().used_blocks(), 0u);
+    EXPECT_EQ(pod.prefill_instance().blocks().used_blocks(), 0u);
 }
 
 // Bug 7 (pool-full swap corrupted accounting): Instance::swap_out used
