@@ -58,7 +58,6 @@ SimAuditor::on_kv_alloc(const std::string &owner, RequestId id,
                         std::size_t tokens, std::size_t blocks, bool applied,
                         std::size_t mgr_used, std::size_t mgr_total)
 {
-    std::lock_guard<std::mutex> lock(mu_);
     tick();
     KvLedger &led = kv_[owner];
     if (led.used != mgr_used) {
@@ -93,7 +92,6 @@ SimAuditor::on_kv_grow(const std::string &owner, RequestId id,
                        bool applied, std::size_t mgr_used,
                        std::size_t mgr_total)
 {
-    std::lock_guard<std::mutex> lock(mu_);
     tick();
     KvLedger &led = kv_[owner];
     if (led.used != mgr_used) {
@@ -134,7 +132,6 @@ SimAuditor::on_kv_release(const std::string &owner, RequestId id,
                           std::size_t blocks_freed, bool known,
                           std::size_t mgr_used)
 {
-    std::lock_guard<std::mutex> lock(mu_);
     tick();
     KvLedger &led = kv_[owner];
     if (led.used != mgr_used) {
@@ -172,7 +169,6 @@ SimAuditor::on_swap_out(const std::string &owner, RequestId id,
                         bool already_held, double pool_used,
                         double pool_capacity)
 {
-    std::lock_guard<std::mutex> lock(mu_);
     tick();
     PoolLedger &led = pools_[owner];
     if (std::abs(led.used - pool_used) > 1.0) {
@@ -204,7 +200,6 @@ void
 SimAuditor::on_swap_in(const std::string &owner, RequestId id, bool known,
                        double pool_used)
 {
-    std::lock_guard<std::mutex> lock(mu_);
     tick();
     PoolLedger &led = pools_[owner];
     if (std::abs(led.used - pool_used) > 1.0) {
@@ -233,7 +228,6 @@ void
 SimAuditor::on_transfer_submit(const std::string &chan, std::uint64_t id,
                                double bytes)
 {
-    std::lock_guard<std::mutex> lock(mu_);
     tick();
     auto &open = xfers_[chan];
     if (open.count(id)) {
@@ -249,7 +243,6 @@ void
 SimAuditor::on_transfer_append(const std::string &chan, std::uint64_t id,
                                double bytes, bool open)
 {
-    std::lock_guard<std::mutex> lock(mu_);
     tick();
     auto &chan_open = xfers_[chan];
     auto it = chan_open.find(id);
@@ -269,7 +262,6 @@ SimAuditor::on_transfer_complete(const std::string &chan, std::uint64_t id,
                                  double bytes, double begun, double end,
                                  double bandwidth, double latency)
 {
-    std::lock_guard<std::mutex> lock(mu_);
     tick();
     auto &chan_open = xfers_[chan];
     auto it = chan_open.find(id);
@@ -291,8 +283,8 @@ SimAuditor::on_transfer_complete(const std::string &chan, std::uint64_t id,
     // Link capacity: the wire cannot beat latency + bytes/bandwidth
     // from the moment the transfer occupied the link. Appended bytes
     // only extend the same slot, so the bound stays valid. The caller
-    // passes both endpoints of the interval from its OWN clock — under
-    // intra-run parallelism sim_.now() is the hub clock, which lags a
+    // passes both endpoints of the interval from its OWN clock — in a
+    // cluster run sim_.now() is the hub clock, which lags a
     // pod-side completion by up to the lookahead window.
     double elapsed = end - begun;
     double min_time = latency + bytes / bandwidth;
@@ -379,7 +371,6 @@ SimAuditor::edge_allowed(RequestState from, RequestState to) const
 void
 SimAuditor::on_transition(Request &r, RequestState to)
 {
-    std::lock_guard<std::mutex> lock(mu_);
     tick();
     if (!edge_allowed(r.state, to)) {
         std::ostringstream os;
@@ -394,7 +385,6 @@ void
 SimAuditor::on_instance_crash(const std::string &owner, std::size_t mgr_used,
                               double pool_used)
 {
-    std::lock_guard<std::mutex> lock(mu_);
     tick();
     KvLedger &led = kv_[owner];
     if (mgr_used != 0 || led.used != 0 || !led.blocks.empty()) {
@@ -426,7 +416,6 @@ void
 SimAuditor::on_dispatch(RequestId id, std::size_t prompt_tokens,
                         std::size_t slots)
 {
-    std::lock_guard<std::mutex> lock(mu_);
     tick();
     if (slots < prompt_tokens) {
         std::ostringstream os;
@@ -439,7 +428,6 @@ SimAuditor::on_dispatch(RequestId id, std::size_t prompt_tokens,
 void
 SimAuditor::on_reschedule(RequestId id, double occupancy, double trigger)
 {
-    std::lock_guard<std::mutex> lock(mu_);
     tick();
     if (occupancy + 1e-9 < trigger) {
         std::ostringstream os;
@@ -456,7 +444,6 @@ SimAuditor::on_reschedule(RequestId id, double occupancy, double trigger)
 void
 SimAuditor::on_ctrl_elected(std::uint64_t term, std::size_t replica)
 {
-    std::lock_guard<std::mutex> lock(mu_);
     tick();
     auto [it, inserted] = ctrl_leaders_.emplace(term, replica);
     if (!inserted && it->second != replica) {
@@ -481,7 +468,6 @@ void
 SimAuditor::on_ctrl_commit(std::size_t index, std::uint64_t term,
                            std::uint64_t seq)
 {
-    std::lock_guard<std::mutex> lock(mu_);
     tick();
     auto [it, inserted] = ctrl_committed_.emplace(index, CtrlEntry{term, seq});
     if (!inserted && (it->second.term != term || it->second.seq != seq)) {
@@ -496,7 +482,6 @@ SimAuditor::on_ctrl_commit(std::size_t index, std::uint64_t term,
 void
 SimAuditor::on_ctrl_apply(std::uint64_t seq, RequestId req)
 {
-    std::lock_guard<std::mutex> lock(mu_);
     tick();
     auto [it, inserted] = ctrl_applied_.emplace(seq, req);
     if (!inserted) {
@@ -508,6 +493,35 @@ SimAuditor::on_ctrl_apply(std::uint64_t seq, RequestId req)
 }
 
 // ---------------------------------------------------------------------
+// decode groups
+// ---------------------------------------------------------------------
+
+void
+SimAuditor::on_decode_group(const std::string &owner, std::uint32_t group,
+                            const std::vector<Request *> &members,
+                            std::size_t cached_sum)
+{
+    std::size_t sum = 0;
+    std::unordered_set<const Request *> seen;
+    for (const Request *r : members) {
+        sum += r->context_length();
+        if (r->decode_group != group || !seen.insert(r).second) {
+            std::ostringstream os;
+            os << owner << ": member of group " << group << " tagged "
+               << r->decode_group
+               << (r->decode_group == group ? " (listed twice)" : "");
+            violate("decode-group-membership", r->id, os.str());
+        }
+    }
+    if (sum != cached_sum) {
+        std::ostringstream os;
+        os << owner << ": group " << group << " caches sum_context "
+           << cached_sum << ", members sum to " << sum;
+        violate("decode-group-sum", 0, os.str());
+    }
+}
+
+// ---------------------------------------------------------------------
 // end-of-run accounting
 // ---------------------------------------------------------------------
 
@@ -515,7 +529,6 @@ void
 SimAuditor::finish_run(const std::vector<Request> &requests,
                        std::size_t num_finished, std::size_t num_unfinished)
 {
-    std::lock_guard<std::mutex> lock(mu_);
     tick();
     std::size_t finished_states = 0;
     // Terminal = Finished or Aborted: neither may leave ledger residue.
@@ -526,6 +539,13 @@ SimAuditor::finish_run(const std::vector<Request> &requests,
             terminal_ids.insert(r.id);
         } else if (r.state == RequestState::Aborted) {
             terminal_ids.insert(r.id);
+        }
+        if ((r.finished() || r.state == RequestState::Aborted) &&
+            r.decode_group != workload::kNoDecodeGroup) {
+            std::ostringstream os;
+            os << "terminal request still tagged with decode group "
+               << r.decode_group;
+            violate("decode-group-leak", r.id, os.str());
         }
         if (r.generated > r.output_tokens) {
             std::ostringstream os;

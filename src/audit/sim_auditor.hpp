@@ -16,6 +16,10 @@
  *    per-request allocations always sum to the BlockManager's used
  *    count, never exceed capacity, and no request is double-allocated
  *    or double-freed;
+ *  - decode-group membership: every running member carries its
+ *    group's tag (so a request sits in at most one group), appears in
+ *    its group once, and the group's cached context sum equals the
+ *    recomputed one; no terminal request keeps a tag;
  *  - host swap-pool conservation: bytes swapped out are credited back
  *    on swap-in, pool occupancy never exceeds capacity, no request is
  *    swapped out twice or swapped in while not resident;
@@ -43,7 +47,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <map>
-#include <mutex>
 #include <stdexcept>
 #include <string>
 #include <unordered_map>
@@ -152,13 +155,29 @@ class SimAuditor
                             double bytes, bool open);
 
     /** @p begun: when the transfer occupied the link (left the queue);
-     *  @p end: the completion time ON THE CALLER'S CLOCK. Under
-     *  intra-run parallelism a pod-owned channel completes on its LP's
+     *  @p end: the completion time ON THE CALLER'S CLOCK. In a
+     *  cluster run a pod-owned channel completes on its LP's
      *  simulator while the auditor's timebase is the hub, so the
      *  capacity bound must use the caller's clock, not sim_.now(). */
     void on_transfer_complete(const std::string &chan, std::uint64_t id,
                               double bytes, double begun, double end,
                               double bandwidth, double latency);
+
+    // ------------------------------------------------------------------
+    // decode groups (engine::DecodeGroup, checked at every pass start)
+    // ------------------------------------------------------------------
+
+    /**
+     * Decode group @p group of @p owner is about to start a pass with
+     * @p members and cached context sum @p cached_sum. Invariants: each
+     * member's decode_group tag is @p group and it is listed once
+     * ("decode-group-membership"), and @p cached_sum is the exact sum
+     * of the members' context lengths ("decode-group-sum"). Not counted
+     * in events_audited(): it observes state, not an event.
+     */
+    void on_decode_group(const std::string &owner, std::uint32_t group,
+                         const std::vector<workload::Request *> &members,
+                         std::size_t cached_sum);
 
     // ------------------------------------------------------------------
     // request lifecycle
@@ -291,13 +310,6 @@ class SimAuditor
     /** allowed() plus the fault-recovery edges when enabled. */
     bool edge_allowed(workload::RequestState from,
                       workload::RequestState to) const;
-
-    // One auditor serves every LP of a parallel run (lp.hpp), so pod
-    // threads report concurrently during windows; a single mutex keeps
-    // the shadow ledgers coherent. The pod-name-prefixed owner keys
-    // stay disjoint per pod, so counts — hence events_audited() — are
-    // order-independent and thread-count identical.
-    mutable std::mutex mu_;
 
     const sim::Simulator &sim_;
     AuditConfig cfg_;

@@ -177,7 +177,7 @@ DistServeSystem::wire(const engine::Attachments &a)
     // WindServe's backup-aware re-dispatch is benchmarked against.
     a.faults->set_redispatch([this](Request *r) {
         r->prefilled = 0;
-        r->generated = 0;
+        engine::set_generated(*r, 0);
         std::size_t home = static_cast<std::size_t>(r->id) % pairs_.size();
         for (std::size_t off = 0; off < pairs_.size(); ++off) {
             Pair &pr = pairs_[(home + off) % pairs_.size()];

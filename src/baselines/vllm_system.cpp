@@ -101,7 +101,7 @@ VllmColocatedSystem::wire(const engine::Attachments &a)
     // live engine, probing round-robin from its home engine.
     a.faults->set_redispatch([this](Request *r) {
         r->prefilled = 0;
-        r->generated = 0;
+        engine::set_generated(*r, 0);
         std::size_t n = engines_.size();
         std::size_t home = static_cast<std::size_t>(r->id) % n;
         for (std::size_t k = 0; k < n; ++k) {

@@ -192,8 +192,9 @@ class ClusterServeSystem : public engine::ServingSystem
     }
     std::size_t home_of(const workload::Request *r) const;
     static double tokens_of(const workload::Request *r);
-    /** Pods whose instances are not both down. */
-    std::vector<bool> live_pods() const;
+    /** Pods whose instances are not both down, refreshed into a buffer
+     *  that is reused across admissions. */
+    const std::vector<bool> &live_pods();
 
     /** Run @p fn on the hub timeline: at once during a hub phase (or
      *  without LPs), else as a zero-delay message at pod @p k's clock —
@@ -236,6 +237,7 @@ class ClusterServeSystem : public engine::ServingSystem
     std::map<const engine::Instance *, Pod *> pod_of_instance_;
     /** Current owning pod per in-flight request. */
     std::map<workload::RequestId, std::size_t> home_pod_;
+    std::vector<bool> live_; ///< live_pods() buffer
     /** Cross-pod KV copies in flight: request id -> (src, dst) pod. */
     struct CrossXfer {
         workload::Request *r;

@@ -373,13 +373,13 @@ Pod::redispatch_after_fault(Request *r)
     if (resumable) {
         backup_registry_.drop(r->id);
         r->prefilled = r->prompt_tokens;
-        r->generated = backed - r->prompt_tokens;
+        engine::set_generated(*r, backed - r->prompt_tokens);
         prefill_->enqueue_decode(r, /*kv_resident=*/true);
         notify_decode_ready(r);
         return;
     }
     r->prefilled = 0;
-    r->generated = 0;
+    engine::set_generated(*r, 0);
     // A fully-down pod cannot recompute: offer the victim to the
     // cluster's cross-pod path before queueing on a dead instance.
     if (hooks_.redispatch_remote && hooks_.redispatch_remote(*this, r))

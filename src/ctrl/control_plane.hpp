@@ -154,7 +154,7 @@ class ControlPlane
     std::uint64_t failovers() const { return failovers_; }
     std::uint64_t reproposals() const { return reproposals_; }
     /** Intents proposed but not yet applied. */
-    std::uint64_t pending_intents() const { return unapplied_; }
+    std::uint64_t pending_intents() const { return pending_.size(); }
     const sim::Sample &failover_latency() const { return failover_latency_; }
 
   private:
@@ -163,7 +163,6 @@ class ControlPlane
         CommandKind kind;
         std::uint64_t request;
         std::function<void()> apply;
-        bool applied = false;
         /** Term of the leader that last appended this intent (0 =
          *  never appended); a new leader re-appends iff < its term. */
         std::uint64_t appended_term = 0;
@@ -207,7 +206,7 @@ class ControlPlane
 
     void arm_heartbeat(std::size_t k);
     void on_heartbeat(std::size_t k);
-    /** Append every unapplied intent the leader's term has not yet
+    /** Append every pending intent the leader's term has not yet
      *  appended (covers no-leader-at-propose and leader changes). */
     void append_unappended(std::size_t k);
     void broadcast_append(std::size_t k);
@@ -228,10 +227,11 @@ class ControlPlane
     sim::Simulator &sim_;
     ControlPlaneConfig cfg_;
     std::vector<std::unique_ptr<Replica>> replicas_;
-    /** Intents by seq (ordered: leaders append in proposal order). */
+    /** Unapplied intents by seq (ordered: leaders append in proposal
+     *  order). An intent leaves the map when it applies, so a heartbeat
+     *  scans only what is still pending. */
     std::map<std::uint64_t, Intent> pending_;
     std::uint64_t seq_counter_ = 0;
-    std::uint64_t unapplied_ = 0;
     KvDirectory directory_;
     bool started_ = false;
     bool stopped_ = false;

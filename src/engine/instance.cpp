@@ -44,7 +44,7 @@ Instance::Instance(sim::Simulator &sim, InstanceConfig cfg,
     std::size_t pp = cost.parallelism().pp;
     slots_.resize(pp);
     slot_busy_.assign(pp, false);
-    groups_.resize(pp);
+    groups_ = std::vector<DecodeGroup>(pp);
     chunk_head_.assign(pp, nullptr);
 }
 
@@ -377,6 +377,9 @@ Instance::try_start_group(std::size_t g)
     if (grp.busy)
         return;
     sim::SourceScope src(sim_, src_decode_);
+    if (audit_)
+        audit_->on_decode_group(cfg_.name, grp.id(), grp.members(),
+                                grp.sum_context());
 
     std::size_t batch = grp.size();
     std::size_t sum_l = grp.sum_context();
@@ -473,7 +476,7 @@ Instance::try_start_group(std::size_t g)
                                         static_cast<double>(sum_l), dur);
     }
 
-    for (Request *r : grp.members) {
+    for (Request *r : grp.members()) {
         if (r->decode_start_time == workload::kNoTime)
             r->decode_start_time = sim_.now();
         // A migrating member keeps its Migrating state: the swap-victim
@@ -496,7 +499,7 @@ Instance::try_start_group(std::size_t g)
         decode_batch_hist_->observe(static_cast<double>(batch));
     grp.busy = true;
     grp.iteration_end = sim_.now() + dur;
-    grp.iteration_members = grp.members;
+    grp.iteration_members = grp.members();
     sim_.schedule(dur, [this, g, e = epoch_] {
         if (e == epoch_)
             complete_group(g);
@@ -508,7 +511,7 @@ Instance::complete_group(std::size_t g)
 {
     DecodeGroup &grp = groups_[g];
     grp.busy = false;
-    if (!grp.members.empty())
+    if (grp.size() > 0)
         ++decode_iters_;
 
     // Chunk bookkeeping.
@@ -544,7 +547,14 @@ Instance::complete_group(std::size_t g)
     // member's pass result is discarded with its KV, so it must not
     // receive the token (and certainly must not "finish" while sitting
     // in the waiting queue).
-    std::vector<Request *> members = std::move(grp.iteration_members);
+    //
+    // The snapshot is swapped into pass_members_ (complete_group never
+    // nests: it runs only from its scheduled event), so a re-admission
+    // pass started from inside the loop fills the group's other buffer
+    // and neither buffer is reallocated pass after pass.
+    std::vector<Request *> &members = pass_members_;
+    assert(members.empty());
+    members.swap(grp.iteration_members);
     grp.iteration_members.clear();
     for (Request *r : members) {
         if (!grp.contains(r))
@@ -558,7 +568,7 @@ Instance::complete_group(std::size_t g)
         if (r->state != RequestState::Decoding &&
             r->state != RequestState::Migrating)
             continue;
-        ++r->generated;
+        set_generated(*r, r->generated + 1, &grp);
         r->note_token(sim_.now());
         if (r->generated >= r->output_tokens) {
             finish_request(r);
@@ -566,6 +576,7 @@ Instance::complete_group(std::size_t g)
             handle_block_exhaustion(r, g);
         }
     }
+    members.clear();
 
     if (callbacks.on_step)
         callbacks.on_step();
@@ -580,7 +591,7 @@ void
 Instance::finish_prefill_of(Request *r)
 {
     r->prefilled = r->prompt_tokens;
-    r->generated = std::max<std::size_t>(r->generated, 1);
+    set_generated(*r, std::max<std::size_t>(r->generated, 1));
     if (r->first_token_time == workload::kNoTime)
         r->first_token_time = sim_.now();
     r->note_token(sim_.now());
@@ -610,22 +621,14 @@ Instance::handle_block_exhaustion(Request *r, std::size_t g)
             // copy; the migration manager owns its fate). Un-earn the
             // token whose KV could not be stored and pause decoding;
             // the in-flight migration resumes it on the target.
-            --r->generated;
+            set_generated(*r, r->generated - 1, &groups_[g]);
             pause_decoding(r);
             return;
         }
         if (cfg_.swap_enabled) {
             // Victims come from this group or idle groups; busy groups
-            // are mid-pass and cannot lose members. Candidates are
-            // rebuilt every round: swap_out() removes the victim from
-            // the live groups, and a stale snapshot would offer the
-            // same victim twice.
-            std::vector<DecodeGroup> candidates;
-            candidates.push_back(groups_[g]);
-            for (std::size_t i = 0; i < groups_.size(); ++i)
-                if (i != g && !groups_[i].busy)
-                    candidates.push_back(groups_[i]);
-            Request *victim = select_swap_victim(candidates, r);
+            // are mid-pass and cannot lose members.
+            Request *victim = select_swap_victim(groups_, g, r);
             if (victim == nullptr)
                 victim = r;
             if (swap_out(victim)) {
@@ -644,7 +647,7 @@ Instance::handle_block_exhaustion(Request *r, std::size_t g)
         // preemption; the recompute pass itself is not modeled by the
         // cost layer). Each retry costs at least one decode pass of
         // simulated time, so the loop cannot spin at one instant.
-        --r->generated;
+        set_generated(*r, r->generated - 1, &groups_[g]);
         audit::transition(audit_, *r, RequestState::WaitingDecode);
         for (auto &grp : groups_)
             grp.remove(r);
@@ -780,8 +783,8 @@ Instance::crash()
                            slots_[s].requests.end());
     victims.insert(victims.end(), sbd_batch_.begin(), sbd_batch_.end());
     for (const auto &grp : groups_)
-        victims.insert(victims.end(), grp.members.begin(),
-                       grp.members.end());
+        victims.insert(victims.end(), grp.members().begin(),
+                       grp.members().end());
     for (const auto &[g, assists] : hybrid_assists_)
         victims.insert(victims.end(), assists.begin(), assists.end());
 
@@ -805,11 +808,8 @@ Instance::crash()
     sbd_batch_.clear();
     sbd_active_ = false;
     sbd_tokens_ = 0;
-    for (auto &grp : groups_) {
-        grp.members.clear();
-        grp.iteration_members.clear();
-        grp.busy = false;
-    }
+    for (auto &grp : groups_)
+        grp.clear();
     hybrid_assists_.clear();
     group_chunk_.clear();
     swap_ready_.clear();

@@ -318,6 +318,9 @@ class Instance
     double sbd_end_ = 0.0;
 
     std::vector<DecodeGroup> groups_;
+    /** Snapshot of the pass complete_group() is settling; swapped with
+     *  the group's iteration_members so both buffers are reused. */
+    std::vector<Request *> pass_members_;
 
     // hybrid assist jobs attached to an in-flight group pass
     std::unordered_map<std::size_t, std::vector<Request *>> hybrid_assists_;

@@ -68,19 +68,19 @@ admit_decodes(std::deque<Request *> &queue, std::vector<DecodeGroup> &groups,
             blocks.allocate(r->id, tokens);
         }
         it = queue.erase(it);
-        smallest->members.push_back(r);
+        smallest->add(r);
         admitted.push_back(r);
     }
     return admitted;
 }
 
 Request *
-select_swap_victim(const std::vector<DecodeGroup> &groups,
+select_swap_victim(const std::vector<DecodeGroup> &groups, std::size_t home,
                    const Request *protect)
 {
     Request *victim = nullptr;
-    for (const auto &g : groups) {
-        for (Request *r : g.members) {
+    auto consider = [&](const DecodeGroup &g) {
+        for (Request *r : g.members()) {
             if (r == protect)
                 continue;
             if (r->state == workload::RequestState::Migrating)
@@ -88,7 +88,11 @@ select_swap_victim(const std::vector<DecodeGroup> &groups,
             if (!victim || r->arrival_time > victim->arrival_time)
                 victim = r;
         }
-    }
+    };
+    consider(groups[home]);
+    for (std::size_t i = 0; i < groups.size(); ++i)
+        if (i != home && !groups[i].busy)
+            consider(groups[i]);
     return victim;
 }
 
@@ -97,7 +101,7 @@ select_migration_victim(const std::vector<DecodeGroup> &groups)
 {
     Request *victim = nullptr;
     for (const auto &g : groups) {
-        for (Request *r : g.members) {
+        for (Request *r : g.members()) {
             if (r->state == workload::RequestState::Migrating)
                 continue;
             if (!victim || r->context_length() > victim->context_length())

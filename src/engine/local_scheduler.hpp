@@ -50,11 +50,14 @@ std::vector<Request *> admit_decodes(std::deque<Request *> &queue,
 
 /**
  * Choose a preemption victim for swap-out: the latest-arrived running
- * request (vLLM's policy), excluding @p protect. @return nullptr if no
+ * request (vLLM's policy), excluding @p protect. Candidates come from
+ * group @p home, then from every other group that is not busy (a busy
+ * group is mid-pass and cannot lose members); on equal arrival times
+ * the first candidate in that order wins. @return nullptr if no
  * candidate exists.
  */
 Request *select_swap_victim(const std::vector<DecodeGroup> &groups,
-                            const Request *protect);
+                            std::size_t home, const Request *protect);
 
 /**
  * Choose a Dynamic Rescheduling victim: the LONGEST-context running

@@ -26,7 +26,6 @@
  */
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -145,14 +144,8 @@ class FaultInjector
     /** Earliest time @p inst is (or will be) up again. */
     double up_time(const engine::Instance &inst) const;
 
-    /** A transfer watchdog fired (KvTransferEngine hook). Atomic: the
-     *  watchdog runs on its pod's LP thread under intra-run
-     *  parallelism; the count is an order-independent sum, so totals
-     *  stay thread-count identical. */
-    void count_transfer_timeout()
-    {
-        transfer_timeouts_.fetch_add(1, std::memory_order_relaxed);
-    }
+    /** A transfer watchdog fired (KvTransferEngine hook). */
+    void count_transfer_timeout() { ++transfer_timeouts_; }
 
     // ------------------------------------------------------------------
     // availability metrics
@@ -165,10 +158,7 @@ class FaultInjector
     std::uint64_t redispatches() const { return redispatches_; }
     std::uint64_t retries() const { return retries_; }
     std::uint64_t aborts() const { return aborts_; }
-    std::uint64_t transfer_timeouts() const
-    {
-        return transfer_timeouts_.load(std::memory_order_relaxed);
-    }
+    std::uint64_t transfer_timeouts() const { return transfer_timeouts_; }
     std::uint64_t recoveries() const { return recoveries_; }
 
     /** Crash -> decode-ready latency over completed recoveries. */
@@ -222,7 +212,7 @@ class FaultInjector
     std::uint64_t redispatches_ = 0;
     std::uint64_t retries_ = 0;
     std::uint64_t aborts_ = 0;
-    std::atomic<std::uint64_t> transfer_timeouts_{0};
+    std::uint64_t transfer_timeouts_ = 0;
     std::uint64_t recoveries_ = 0;
     sim::Sample recovery_latency_;
 };

@@ -12,7 +12,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 namespace windserve::audit {
@@ -72,10 +71,10 @@ class BlockManager
     /** Blocks currently held by a request (0 if none). */
     std::size_t blocks_of(ReqId id) const;
 
-    bool holds(ReqId id) const { return per_req_.count(id) > 0; }
+    bool holds(ReqId id) const { return find(id) != nullptr; }
 
     /** Number of requests holding blocks. */
-    std::size_t num_holders() const { return per_req_.size(); }
+    std::size_t num_holders() const { return num_holders_; }
 
     /** Ids of all holders, sorted (crash cleanup iterates these). */
     std::vector<ReqId> holders() const;
@@ -96,16 +95,36 @@ class BlockManager
     void set_audit(audit::SimAuditor *a, std::string owner);
 
   private:
+    /** One slot of the per-request table. */
     struct Alloc {
-        std::size_t tokens;
-        std::size_t blocks;
+        ReqId id = 0;
+        std::size_t tokens = 0;
+        std::size_t blocks = 0;
+        bool used = false;
     };
+
+    /** Home slot of @p id (Fibonacci hash into a power-of-two table). */
+    std::size_t home_of(ReqId id) const;
+    /** The allocation of @p id, or nullptr if it holds nothing. */
+    Alloc *find(ReqId id);
+    const Alloc *find(ReqId id) const;
+    /** Insert an allocation for an id that holds nothing. */
+    void insert(const Alloc &a);
+    /** Remove @p slot 's allocation (backward-shift deletion). */
+    void erase(Alloc *slot);
 
     std::size_t total_blocks_;
     std::size_t block_size_;
     std::size_t used_blocks_ = 0;
     std::size_t total_tokens_ = 0;
-    std::unordered_map<ReqId, Alloc> per_req_;
+    /**
+     * Per-request allocations: a flat open-addressing table with linear
+     * probing, at most half full. A decode step looks up every member,
+     * so a lookup must not chase node pointers.
+     */
+    std::vector<Alloc> per_req_;
+    std::size_t num_holders_ = 0;
+    unsigned shift_ = 0; ///< 64 - log2(per_req_.size())
     audit::SimAuditor *audit_ = nullptr;
     std::string audit_owner_;
 };

@@ -282,7 +282,7 @@ BackupManager::maybe_backup()
     // Longest running decode without a backup in flight or on record.
     Request *best = nullptr;
     for (const auto &grp : source_.groups()) {
-        for (Request *r : grp.members) {
+        for (Request *r : grp.members()) {
             if (r->state == RequestState::Migrating)
                 continue;
             if (registry_.has_backup(r->id) || inflight_.count(r->id))

@@ -38,6 +38,9 @@ const char *to_string(RequestState s);
 /** Sentinel for "timestamp not recorded yet". */
 constexpr double kNoTime = -1.0;
 
+/** Request::decode_group value of a request in no decode group. */
+constexpr std::uint32_t kNoDecodeGroup = 0;
+
 /** One LLM inference request plus everything measured about it. */
 struct Request {
     RequestId id = 0;
@@ -46,9 +49,16 @@ struct Request {
     double arrival_time = 0.0;
 
     RequestState state = RequestState::Created;
+    /** Id of the engine::DecodeGroup this request is a running member
+     *  of, kNoDecodeGroup otherwise. Only DecodeGroup writes it; it
+     *  sits in the padding after `state`, so it costs no memory. */
+    std::uint32_t decode_group = kNoDecodeGroup;
 
     // --- progress ---
-    std::size_t generated = 0;     ///< decode tokens emitted so far
+    /** Decode tokens emitted so far. Written only through
+     *  engine::set_generated(), which keeps the running context sum of
+     *  the request's decode group exact. */
+    std::size_t generated = 0;
     std::size_t prefilled = 0;     ///< prompt tokens processed (chunking)
 
     // --- timestamps (kNoTime until set) ---
@@ -113,5 +123,10 @@ struct Request {
     /** End-to-end latency. */
     double e2e_latency() const;
 };
+
+// One Request is retained per trace entry, so its size is a per-request
+// memory cost: the decode-group tag must stay inside existing padding.
+static_assert(sizeof(void *) != 8 || sizeof(Request) == 144,
+              "Request grew: per-request memory is pinned");
 
 } // namespace windserve::workload

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "audit/sim_auditor.hpp"
+#include "engine/batch.hpp"
 #include "harness/experiment.hpp"
 #include "harness/fuzz.hpp"
 #include "hw/transfer_engine.hpp"
@@ -17,6 +18,7 @@
 #include "simcore/simulator.hpp"
 
 namespace au = windserve::audit;
+namespace eng = windserve::engine;
 namespace hw = windserve::hw;
 namespace kv = windserve::kvcache;
 namespace sim = windserve::sim;
@@ -286,6 +288,90 @@ TEST(AuditCoordinator, RescheduleBelowTriggerCaught)
     EXPECT_TRUE(aud.ok());
     expect_violation("reschedule-trigger",
                      [&] { aud.on_reschedule(2, 0.5, 0.9); });
+}
+
+// ---------------------------------------------------------------------
+// decode groups
+// ---------------------------------------------------------------------
+
+TEST(AuditDecodeGroup, ConsistentGroupPasses)
+{
+    sim::Simulator s;
+    au::SimAuditor aud(s, repro_cfg());
+    eng::DecodeGroup g;
+    wl::Request a, b;
+    a.id = 1;
+    a.prompt_tokens = 100;
+    b.id = 2;
+    b.prompt_tokens = 50;
+    g.add(&a);
+    g.add(&b);
+    eng::set_generated(a, 3, &g);
+    aud.on_decode_group("d0", g.id(), g.members(), g.sum_context());
+    EXPECT_TRUE(aud.ok());
+    EXPECT_EQ(aud.events_audited(), 0u); // a state check, not an event
+}
+
+TEST(AuditDecodeGroup, ForeignTagCaught)
+{
+    sim::Simulator s;
+    au::SimAuditor aud(s, repro_cfg());
+    eng::DecodeGroup g, other;
+    wl::Request a;
+    a.id = 7;
+    a.prompt_tokens = 10;
+    other.add(&a); // a runs in `other` but is listed in g below
+    std::vector<wl::Request *> members{&a};
+    auto v = expect_violation("decode-group-membership", [&] {
+        aud.on_decode_group("d0", g.id(), members, 10);
+    });
+    EXPECT_EQ(v.req, 7u);
+}
+
+TEST(AuditDecodeGroup, DuplicateMemberCaught)
+{
+    sim::Simulator s;
+    au::SimAuditor aud(s, repro_cfg());
+    eng::DecodeGroup g;
+    wl::Request a;
+    a.id = 3;
+    a.prompt_tokens = 10;
+    g.add(&a);
+    std::vector<wl::Request *> members{&a, &a};
+    expect_violation("decode-group-membership", [&] {
+        aud.on_decode_group("d0", g.id(), members, 20);
+    });
+}
+
+TEST(AuditDecodeGroup, StaleContextSumCaught)
+{
+    sim::Simulator s;
+    au::SimAuditor aud(s, repro_cfg());
+    eng::DecodeGroup g;
+    wl::Request a;
+    a.id = 4;
+    a.prompt_tokens = 10;
+    g.add(&a);
+    a.generated = 5; // bypasses set_generated: the cached sum is stale
+    expect_violation("decode-group-sum", [&] {
+        aud.on_decode_group("d0", g.id(), g.members(), g.sum_context());
+    });
+}
+
+TEST(AuditFinishRun, TaggedTerminalRequestCaught)
+{
+    sim::Simulator s;
+    au::SimAuditor aud(s, repro_cfg());
+    eng::DecodeGroup g;
+    wl::Request r;
+    r.id = 9;
+    r.output_tokens = 2;
+    g.add(&r);
+    eng::set_generated(r, 2, &g);
+    r.state = RequestState::Finished;
+    r.finish_time = 1.0;
+    expect_violation("decode-group-leak",
+                     [&] { aud.finish_run({r}, 1, 0); });
 }
 
 // ---------------------------------------------------------------------

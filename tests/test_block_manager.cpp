@@ -4,7 +4,9 @@
  */
 #include <gtest/gtest.h>
 
+#include <map>
 #include <unordered_map>
+#include <vector>
 
 #include "kvcache/block_manager.hpp"
 #include "simcore/rng.hpp"
@@ -191,4 +193,50 @@ TEST(BlockManagerProperty, FullDrainReturnsToEmpty)
     EXPECT_EQ(bm.used_blocks(), 0u);
     EXPECT_EQ(bm.total_tokens(), 0u);
     EXPECT_DOUBLE_EQ(bm.occupancy(), 0.0);
+}
+
+/** Property: the flat per-request table stays exact under ids that
+ *  collide in their home slots, table growth and churn that deletes
+ *  across the wrap-around. */
+TEST(BlockManagerProperty, TableMatchesReferenceUnderChurn)
+{
+    windserve::sim::Rng rng(13);
+    kv::BlockManager bm(1u << 20, 16);
+    std::map<kv::ReqId, std::size_t> shadow; // id -> tokens
+    auto pick_id = [&]() -> kv::ReqId {
+        auto k = static_cast<kv::ReqId>(rng.uniform_int(0, 300));
+        switch (rng.uniform_int(0, 2)) {
+          case 0:
+            return k;                // dense, like trace ids
+          case 1:
+            return k << 40;          // equal low bits
+          default:
+            return ~kv::ReqId{0} - k; // near the top of the range
+        }
+    };
+    for (int step = 0; step < 30000; ++step) {
+        kv::ReqId id = pick_id();
+        auto it = shadow.find(id);
+        if (it == shadow.end()) {
+            auto tokens = static_cast<std::size_t>(rng.uniform_int(0, 64));
+            ASSERT_TRUE(bm.allocate(id, tokens));
+            shadow[id] = tokens;
+        } else if (rng.uniform() < 0.3) {
+            ASSERT_TRUE(bm.grow(id, it->second + 1));
+            ++it->second;
+        } else {
+            bm.release(id);
+            shadow.erase(it);
+        }
+        ASSERT_EQ(bm.num_holders(), shadow.size());
+        ASSERT_TRUE(bm.holds(id) == (shadow.count(id) > 0));
+        if (step % 97 == 0) {
+            std::vector<kv::ReqId> expect;
+            for (const auto &[rid, tokens] : shadow) {
+                expect.push_back(rid);
+                ASSERT_EQ(bm.tokens_of(rid), tokens);
+            }
+            ASSERT_EQ(bm.holders(), expect);
+        }
+    }
 }

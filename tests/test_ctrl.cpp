@@ -285,6 +285,46 @@ TEST(ControlPlane, LeaderCrashMidDispatchAppliesExactlyOnce)
     EXPECT_EQ(cp.pending_intents(), 0u);
 }
 
+TEST(ControlPlane, AppliedIntentsLeaveThePendingSet)
+{
+    // Thousands of proposals across a leader change: every intent is
+    // applied once and then dropped, so heartbeats and later leaders
+    // scan only what is still pending.
+    sim::Simulator sim;
+    ctrl::ControlPlane cp(sim, standalone_config(3, 5));
+    cp.start();
+
+    constexpr std::size_t kIntents = 4000;
+    std::vector<int> applied(kIntents, 0);
+    for (std::size_t i = 0; i < kIntents; ++i)
+        sim.schedule(1.0 + 0.005 * static_cast<double>(i), [&, i] {
+            cp.propose(ctrl::CommandKind::Admit, i, [&, i] { ++applied[i]; });
+        });
+    std::uint64_t pending_mid = 0;
+    sim.schedule(8.0, [&] { cp.on_leader_crash(4.0, 0); });
+    sim.schedule(18.0, [&] { pending_mid = cp.pending_intents(); });
+    sim.run_until(40.0);
+
+    EXPECT_EQ(cp.leader_crashes(), 1u);
+    EXPECT_GE(cp.failovers(), 1u);
+    EXPECT_LT(pending_mid, 100u); // bounded by the in-flight window
+    for (std::size_t i = 0; i < kIntents; ++i)
+        ASSERT_EQ(applied[i], 1) << "intent " << i;
+    EXPECT_EQ(cp.applies(), kIntents);
+    EXPECT_EQ(cp.pending_intents(), 0u);
+
+    // Another leader change after everything applied re-proposes
+    // nothing: no applied intent is still on record to re-append.
+    std::uint64_t reproposals = cp.reproposals();
+    std::uint64_t elections = cp.elections();
+    sim.schedule(1.0, [&] { cp.on_leader_crash(2.0, 0); });
+    sim.run_until(60.0);
+    EXPECT_GT(cp.elections(), elections);
+    EXPECT_EQ(cp.reproposals(), reproposals);
+    EXPECT_EQ(cp.pending_intents(), 0u);
+    EXPECT_EQ(cp.applies(), kIntents);
+}
+
 TEST(ControlPlane, PartitionHealsWithExactlyOnceApplies)
 {
     sim::Simulator sim;

@@ -4,6 +4,8 @@
  */
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "engine/local_scheduler.hpp"
 
 namespace eng = windserve::engine;
@@ -192,8 +194,8 @@ TEST(VictimSelection, SwapPicksLatestArrival)
     auto reqs = make_requests({16, 16, 16});
     std::vector<eng::DecodeGroup> groups(1);
     for (auto &r : reqs)
-        groups[0].members.push_back(&r);
-    auto *victim = eng::select_swap_victim(groups, nullptr);
+        groups[0].add(&r);
+    auto *victim = eng::select_swap_victim(groups, 0, nullptr);
     ASSERT_NE(victim, nullptr);
     EXPECT_EQ(victim->id, 2u); // latest arrival
 }
@@ -203,8 +205,8 @@ TEST(VictimSelection, SwapExcludesProtected)
     auto reqs = make_requests({16, 16});
     std::vector<eng::DecodeGroup> groups(1);
     for (auto &r : reqs)
-        groups[0].members.push_back(&r);
-    auto *victim = eng::select_swap_victim(groups, &reqs[1]);
+        groups[0].add(&r);
+    auto *victim = eng::select_swap_victim(groups, 0, &reqs[1]);
     ASSERT_NE(victim, nullptr);
     EXPECT_EQ(victim->id, 0u);
 }
@@ -215,8 +217,8 @@ TEST(VictimSelection, SwapSkipsMigrating)
     reqs[1].state = wl::RequestState::Migrating;
     std::vector<eng::DecodeGroup> groups(1);
     for (auto &r : reqs)
-        groups[0].members.push_back(&r);
-    auto *victim = eng::select_swap_victim(groups, nullptr);
+        groups[0].add(&r);
+    auto *victim = eng::select_swap_victim(groups, 0, nullptr);
     ASSERT_NE(victim, nullptr);
     EXPECT_EQ(victim->id, 0u);
 }
@@ -224,7 +226,7 @@ TEST(VictimSelection, SwapSkipsMigrating)
 TEST(VictimSelection, EmptyGroupsGiveNull)
 {
     std::vector<eng::DecodeGroup> groups(2);
-    EXPECT_EQ(eng::select_swap_victim(groups, nullptr), nullptr);
+    EXPECT_EQ(eng::select_swap_victim(groups, 0, nullptr), nullptr);
     EXPECT_EQ(eng::select_migration_victim(groups), nullptr);
 }
 
@@ -235,7 +237,7 @@ TEST(VictimSelection, MigrationPicksLongestContext)
     auto reqs = make_requests({100, 900, 400});
     std::vector<eng::DecodeGroup> groups(1);
     for (auto &r : reqs)
-        groups[0].members.push_back(&r);
+        groups[0].add(&r);
     auto *victim = eng::select_migration_victim(groups);
     ASSERT_NE(victim, nullptr);
     EXPECT_EQ(victim->prompt_tokens, 900u);
@@ -247,7 +249,7 @@ TEST(VictimSelection, MigrationCountsGeneratedTokens)
     reqs[1].generated = 100; // context 550 > 500
     std::vector<eng::DecodeGroup> groups(1);
     for (auto &r : reqs)
-        groups[0].members.push_back(&r);
+        groups[0].add(&r);
     EXPECT_EQ(eng::select_migration_victim(groups)->id, 1u);
 }
 
@@ -256,11 +258,100 @@ TEST(DecodeGroup, SumContextAndMembership)
     auto reqs = make_requests({100, 200});
     reqs[0].generated = 5;
     eng::DecodeGroup g;
-    g.members.push_back(&reqs[0]);
-    g.members.push_back(&reqs[1]);
+    g.add(&reqs[0]);
+    g.add(&reqs[1]);
     EXPECT_EQ(g.sum_context(), 305u);
     EXPECT_TRUE(g.contains(&reqs[0]));
     EXPECT_TRUE(g.remove(&reqs[0]));
     EXPECT_FALSE(g.remove(&reqs[0]));
     EXPECT_EQ(g.size(), 1u);
+}
+
+TEST(DecodeGroup, TagFollowsMembership)
+{
+    auto reqs = make_requests({100, 200});
+    eng::DecodeGroup a, b;
+    EXPECT_NE(a.id(), b.id());
+    EXPECT_NE(a.id(), wl::kNoDecodeGroup);
+    a.add(&reqs[0]);
+    EXPECT_EQ(reqs[0].decode_group, a.id());
+    EXPECT_FALSE(b.contains(&reqs[0]));
+    // A group that does not hold the request leaves it alone.
+    EXPECT_FALSE(b.remove(&reqs[0]));
+    EXPECT_EQ(reqs[0].decode_group, a.id());
+    EXPECT_EQ(a.sum_context(), 100u);
+    // A request sits in at most one group.
+    EXPECT_THROW(b.add(&reqs[0]), std::logic_error);
+    EXPECT_THROW(a.add(&reqs[0]), std::logic_error);
+    EXPECT_TRUE(a.remove(&reqs[0]));
+    EXPECT_EQ(reqs[0].decode_group, wl::kNoDecodeGroup);
+    b.add(&reqs[0]);
+    EXPECT_TRUE(b.contains(&reqs[0]));
+    EXPECT_EQ(a.sum_context(), 0u);
+    EXPECT_EQ(b.sum_context(), 100u);
+}
+
+TEST(DecodeGroup, SetGeneratedMovesSum)
+{
+    auto reqs = make_requests({100, 200});
+    eng::DecodeGroup g, other;
+    g.add(&reqs[0]);
+    g.add(&reqs[1]);
+    eng::set_generated(reqs[0], 7, &g);
+    EXPECT_EQ(reqs[0].generated, 7u);
+    EXPECT_EQ(g.sum_context(), 307u);
+    eng::set_generated(reqs[0], 3, &g); // un-earning a token shrinks it
+    EXPECT_EQ(g.sum_context(), 303u);
+    // A running request must name its own group.
+    EXPECT_THROW(eng::set_generated(reqs[1], 1), std::logic_error);
+    EXPECT_THROW(eng::set_generated(reqs[1], 1, &other), std::logic_error);
+    EXPECT_EQ(reqs[1].generated, 0u);
+    EXPECT_EQ(g.sum_context(), 303u);
+    // A request in no group is written directly.
+    auto loose = make_requests({50});
+    eng::set_generated(loose[0], 4);
+    EXPECT_EQ(loose[0].generated, 4u);
+}
+
+TEST(DecodeGroup, RemoveSubtractsCurrentContext)
+{
+    auto reqs = make_requests({100, 200});
+    eng::DecodeGroup g;
+    g.add(&reqs[0]);
+    g.add(&reqs[1]);
+    eng::set_generated(reqs[1], 9, &g);
+    EXPECT_TRUE(g.remove(&reqs[1]));
+    EXPECT_EQ(g.sum_context(), 100u);
+    EXPECT_TRUE(g.remove(&reqs[0]));
+    EXPECT_EQ(g.sum_context(), 0u);
+}
+
+TEST(DecodeGroup, ClearUntagsEveryMember)
+{
+    auto reqs = make_requests({100, 200});
+    eng::DecodeGroup g;
+    g.add(&reqs[0]);
+    g.add(&reqs[1]);
+    g.busy = true;
+    g.iteration_members = g.members();
+    g.clear();
+    EXPECT_EQ(g.size(), 0u);
+    EXPECT_EQ(g.sum_context(), 0u);
+    EXPECT_TRUE(g.iteration_members.empty());
+    EXPECT_FALSE(g.busy);
+    for (const auto &r : reqs)
+        EXPECT_EQ(r.decode_group, wl::kNoDecodeGroup);
+}
+
+TEST(VictimSelection, SwapSkipsBusyGroupsButNotHome)
+{
+    auto reqs = make_requests({16, 16, 16});
+    std::vector<eng::DecodeGroup> groups(3);
+    groups[0].add(&reqs[0]);
+    groups[1].add(&reqs[2]); // latest arrival, but mid-pass elsewhere
+    groups[1].busy = true;
+    groups[2].add(&reqs[1]);
+    EXPECT_EQ(eng::select_swap_victim(groups, 0, nullptr)->id, 1u);
+    // The home group is a candidate even while busy.
+    EXPECT_EQ(eng::select_swap_victim(groups, 1, nullptr)->id, 2u);
 }
