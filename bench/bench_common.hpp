@@ -2,11 +2,9 @@
  * @file
  * Shared helpers for the figure-level benchmark binaries.
  *
- * Every driver accepts:
- *   bench_figXX [num_requests] [--jobs N | -j N | --jobs=N]
- *               [--trace-out FILE] [--metrics-out FILE]
- *               [--sample-every SEC]
- * with --jobs defaulting to the machine's hardware concurrency.
+ * Every driver accepts parse_args()'s flags (a bad one prints the usage):
+ * the trace size, --jobs N (default: hardware concurrency), --trace-out,
+ * --metrics-out and --sample-every.
  * Results are bit-identical at every jobs value (the parallel engine's
  * determinism contract); only wall-clock changes.
  *
@@ -27,8 +25,10 @@
  */
 #pragma once
 
+#include <algorithm>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -39,47 +39,44 @@ namespace windserve::benchcommon {
 
 /** Parsed command line of a figure driver. */
 struct BenchArgs {
-    std::size_t num_requests;
-    std::size_t jobs;
+    std::size_t num_requests = 0;
+    std::size_t jobs = harness::default_jobs();
     std::string trace_out;     ///< empty = tracing disabled
     std::string metrics_out;   ///< empty = telemetry disabled
     double sample_every = 1.0; ///< telemetry sampling interval (sim s)
 };
 
+/**
+ * Parse a figure driver's command line: the shared arguments above plus
+ * whatever @p extra declares on the same table. A bad argument prints
+ * the usage and exits 2.
+ */
 inline BenchArgs
-parse_args(int argc, char **argv, std::size_t default_n)
+parse_args(int argc, char **argv, std::size_t default_n,
+           const std::function<void(harness::FlagTable &)> &extra = {})
 {
-    BenchArgs args{default_n, harness::default_jobs(), {}, {}, 1.0};
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        if ((arg == "--jobs" || arg == "-j") && i + 1 < argc) {
-            args.jobs = static_cast<std::size_t>(
-                std::max(1L, std::atol(argv[++i])));
-        } else if (arg.rfind("--jobs=", 0) == 0) {
-            args.jobs = static_cast<std::size_t>(
-                std::max(1L, std::atol(arg.c_str() + 7)));
-        } else if (arg == "--trace-out" && i + 1 < argc) {
-            args.trace_out = argv[++i];
-        } else if (arg.rfind("--trace-out=", 0) == 0) {
-            args.trace_out = arg.substr(12);
-        } else if (arg == "--metrics-out" && i + 1 < argc) {
-            args.metrics_out = argv[++i];
-        } else if (arg.rfind("--metrics-out=", 0) == 0) {
-            args.metrics_out = arg.substr(14);
-        } else if (arg == "--sample-every" && i + 1 < argc) {
-            args.sample_every = std::atof(argv[++i]);
-        } else if (arg.rfind("--sample-every=", 0) == 0) {
-            args.sample_every = std::atof(arg.c_str() + 15);
-        } else if (!arg.empty() && arg[0] != '-') {
-            args.num_requests = static_cast<std::size_t>(
-                std::max(1L, std::atol(arg.c_str())));
-        } else {
-            std::cerr << "usage: " << argv[0]
-                      << " [num_requests] [--jobs N] [--trace-out FILE]"
-                         " [--metrics-out FILE] [--sample-every SEC]\n";
-            std::exit(2);
-        }
-    }
+    BenchArgs args;
+    args.num_requests = default_n;
+    harness::FlagTable t;
+    t.positional("num_requests", args.num_requests,
+                 "trace size per cell (default " +
+                     std::to_string(default_n) + ")");
+    t.add("--jobs", args.jobs, "worker threads (default: hardware threads)")
+        .alias("-j");
+    t.add("--trace-out", args.trace_out,
+          "re-run one cell traced; write Chrome-trace JSON to FILE",
+          "FILE");
+    t.add("--metrics-out", args.metrics_out,
+          "re-run one cell with telemetry; write Prometheus text to FILE",
+          "FILE");
+    t.add("--sample-every", args.sample_every,
+          "telemetry sampling interval in sim seconds (default 1)", "SEC");
+    if (extra)
+        extra(t);
+    t.parse_or_exit(argc, argv);
+    // Zero requests or jobs run as one.
+    args.num_requests = std::max<std::size_t>(1, args.num_requests);
+    args.jobs = std::max<std::size_t>(1, args.jobs);
     return args;
 }
 

@@ -149,28 +149,17 @@ fault_json(const std::vector<double> &mtbfs,
 int
 main(int argc, char **argv)
 {
-    // Peel the fault-bench-specific flags off before the shared parser
-    // (which rejects unknown arguments).
     std::size_t replicas = 1;
-    bool json = false, audit = false;
-    std::string json_path = "BENCH_fault.json";
-    std::vector<char *> rest{argv[0]};
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        if (arg.rfind("--replicas=", 0) == 0)
-            replicas = std::stoul(arg.substr(11));
-        else if (arg == "--json")
-            json = true;
-        else if (arg.rfind("--json=", 0) == 0) {
-            json = true;
-            json_path = arg.substr(7);
-        } else if (arg == "--audit")
-            audit = true;
-        else
-            rest.push_back(argv[i]);
-    }
-    auto args = benchcommon::parse_args(static_cast<int>(rest.size()),
-                                        rest.data(), 1500);
+    bool audit = false;
+    std::string json_path;
+    auto args = benchcommon::parse_args(
+        argc, argv, 1500, [&](harness::FlagTable &t) {
+            t.add("--replicas", replicas,
+                  "WindServe control-plane replicas (default 1)");
+            t.add_optional("--json", json_path, "BENCH_fault.json",
+                           "write JSON (default BENCH_fault.json)");
+            t.add("--audit", audit, "audit every cell (fail-fast)");
+        });
     std::size_t n = args.num_requests;
     const std::vector<double> mtbfs{15.0, 30.0, 60.0, 120.0};
     const std::vector<harness::SystemKind> systems{
@@ -240,7 +229,7 @@ main(int argc, char **argv)
                   << fmt_sample(fo, 99.0) << "\n";
     }
 
-    if (json) {
+    if (!json_path.empty()) {
         std::ofstream out(json_path);
         if (!out) {
             std::cerr << "cannot write " << json_path << "\n";

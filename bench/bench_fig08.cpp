@@ -43,8 +43,9 @@ panel(const model::ModelSpec &spec, model::ParallelismConfig par)
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    harness::FlagTable().parse_or_exit(argc, argv); // takes no arguments
     std::cout << "== Figure 8: Regular batching vs Stream-Based "
                  "Disaggregation, single forward pass ==\n"
               << "(16 decode requests @ context 2048 + N prefill "

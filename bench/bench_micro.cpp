@@ -579,35 +579,20 @@ int
 main(int argc, char **argv)
 {
     std::string json_path;
-    bool json = false;
-    long iters = 0;
-    std::vector<char *> passthrough;
-    passthrough.push_back(argv[0]);
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        if (arg == "--json") {
-            json = true;
-        } else if (arg.rfind("--json=", 0) == 0) {
-            json = true;
-            json_path = arg.substr(7);
-        } else if (arg == "--iters" && i + 1 < argc) {
-            iters = std::stol(argv[++i]);
-        } else if (arg.rfind("--iters=", 0) == 0) {
-            iters = std::stol(arg.substr(8));
-        } else {
-            passthrough.push_back(argv[i]);
-        }
-    }
-    if (json) {
-        if (json_path.empty())
-            json_path = "BENCH_simcore.json";
-        return emit_simcore_json(json_path, iters);
-    }
+    std::size_t iters = 0;
+    harness::FlagTable t;
+    t.add_optional("--json", json_path, "BENCH_simcore.json",
+                   "run the simcore workloads; write BENCH_simcore.json");
+    t.add("--iters", iters, "events per workload (default 2M; 1M mixed)");
+    // Everything else is google-benchmark's.
+    std::vector<char *> passthrough = t.parse_or_exit(argc, argv, true);
+    if (!json_path.empty())
+        return emit_simcore_json(json_path, static_cast<long>(iters));
     int pass_argc = static_cast<int>(passthrough.size());
     benchmark::Initialize(&pass_argc, passthrough.data());
     if (benchmark::ReportUnrecognizedArguments(pass_argc,
                                                passthrough.data()))
-        return 1;
+        return 2;
     benchmark::RunSpecifiedBenchmarks();
     benchmark::Shutdown();
     return 0;

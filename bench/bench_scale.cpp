@@ -5,16 +5,13 @@
  * simulator throughput (events/sec, wall-clock) and the cluster's
  * serving metrics at each size.
  *
- *   bench_scale [--json[=PATH]] [--jobs=J] [--requests=N] [--rate=R]
- *               [--audit] [--highwater=H] [--lowwater=L]
- *               [--spine-oversub=F]
- *
- * --json emits BENCH_scale.json (schema checked by scale_smoke.cmake;
- * the committed copy at the repo root is the release-bench baseline —
- * no tolerance gate yet). --requests is the trace size PER POD, so every
- * cluster size serves the same per-pod load (the paper's linear
- * scaling rule). --audit attaches the fail-fast invariant auditor to
- * every run.
+ * --json emits BENCH_scale.json (schema checked by scale_smoke.cmake).
+ * The committed copy at the repo root is the release-bench baseline
+ * that scale_perf_gate holds the 512-GPU events/sec to, when build
+ * flavor, hw_threads and request count match. --requests is the trace
+ * size PER POD, so every cluster size serves the same per-pod load
+ * (the paper's linear scaling rule). --audit attaches the fail-fast
+ * invariant auditor to every run.
  *
  * --spine-oversub=F adds a fourth point: the 8-node cluster rerun on
  * an oversubscribed spine — every inter-node pair overridden to
@@ -26,8 +23,7 @@
  * --highwater/--lowwater override the cluster's decode-offload
  * watermarks. The defaults here are LOWER than ClusterConfig's so the
  * cross-pod offload path actually fires at the headline rates (the
- * stock 0.85/0.60 pair never trips under the balanced default load —
- * see ROADMAP item 1).
+ * stock 0.85/0.60 pair never trips under the balanced default load).
  *
  * All serving metrics in the output are deterministic: the same seed
  * produces byte-identical figures at any --jobs. Only wall_s and the
@@ -54,9 +50,9 @@ struct BenchConfig {
     bool audit = false;
     // Below ClusterConfig's 0.85/0.60 stock pair on purpose: the
     // balanced default load never crosses 0.85, so the headline sweep
-    // would report cross_offloads == 0 forever (ROADMAP item 1). At
-    // 0.10/0.08 the decode pools' natural fluctuation trips the path
-    // at the 64- and 512-GPU points (2-pod cells stay too correlated).
+    // would report cross_offloads == 0 forever. At 0.10/0.08 the decode
+    // pools' natural fluctuation trips the path at the 64- and 512-GPU
+    // points (2-pod cells stay too correlated).
     double highwater = 0.10;
     double lowwater = 0.08;
     /** Spine oversubscription factor of the extra 8-node point
@@ -86,15 +82,7 @@ void
 run_once(const harness::ExperimentConfig &cfg, ScalePoint &pt)
 {
     auto system = harness::make_system(cfg);
-    engine::RunOptions opts;
-    opts.slo = cfg.scenario.slo;
-    opts.horizon = cfg.horizon;
-    if (cfg.audit) {
-        audit::AuditConfig ac;
-        ac.repro_seed = cfg.seed;
-        ac.repro_config = "bench_scale";
-        opts.audit = std::move(ac);
-    }
+    engine::RunOptions opts = harness::make_run_options(cfg);
     auto trace = harness::make_trace(cfg);
 
     auto t0 = std::chrono::steady_clock::now();
@@ -213,37 +201,26 @@ scale_json(const std::vector<ScalePoint> &points)
 int
 main(int argc, char **argv)
 {
-    bool json = false;
-    std::string json_path = "BENCH_scale.json";
+    std::string json_path;
     std::size_t jobs = harness::default_jobs();
     BenchConfig bc;
 
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        if (arg == "--json") {
-            json = true;
-        } else if (arg.rfind("--json=", 0) == 0) {
-            json = true;
-            json_path = arg.substr(7);
-        } else if (arg.rfind("--jobs=", 0) == 0) {
-            jobs = std::stoul(arg.substr(7));
-        } else if (arg.rfind("--requests=", 0) == 0) {
-            bc.requests_per_pod = std::stoul(arg.substr(11));
-        } else if (arg.rfind("--rate=", 0) == 0) {
-            bc.rate = std::stod(arg.substr(7));
-        } else if (arg.rfind("--highwater=", 0) == 0) {
-            bc.highwater = std::stod(arg.substr(12));
-        } else if (arg.rfind("--lowwater=", 0) == 0) {
-            bc.lowwater = std::stod(arg.substr(11));
-        } else if (arg.rfind("--spine-oversub=", 0) == 0) {
-            bc.spine_oversub = std::stod(arg.substr(16));
-        } else if (arg == "--audit") {
-            bc.audit = true;
-        } else {
-            std::cerr << "unknown argument: " << arg << "\n";
-            return 2;
-        }
-    }
+    harness::FlagTable t;
+    t.add_optional("--json", json_path, "BENCH_scale.json",
+                   "write JSON (default BENCH_scale.json)");
+    t.add("--jobs", jobs, "points in parallel (default: hardware threads)");
+    t.add("--requests", bc.requests_per_pod, "requests per pod (default 400)");
+    t.add("--rate", bc.rate, "per-GPU request rate (default 1.2)", "R");
+    t.add("--audit", bc.audit, "audit every run (fail-fast)");
+    t.add("--highwater", bc.highwater,
+          "decode-offload high watermark (default 0.10)", "H");
+    t.add("--lowwater", bc.lowwater,
+          "decode-offload low watermark (default 0.08)", "L");
+    t.add("--spine-oversub", bc.spine_oversub,
+          "extra 8-node point's spine oversubscription (default 4; <= 1 "
+          "skips it)",
+          "F");
+    t.parse_or_exit(argc, argv);
 
     // Three uniform-fabric sizes plus (spine_oversub > 1) the 8-node
     // cluster on the oversubscribed spine.
@@ -278,7 +255,7 @@ main(int argc, char **argv)
                     p.spine_oversub);
     }
 
-    if (json) {
+    if (!json_path.empty()) {
         std::ofstream out(json_path);
         if (!out) {
             std::cerr << "cannot write " << json_path << "\n";

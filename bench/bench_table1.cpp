@@ -34,8 +34,9 @@ eng(double v)
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    harness::FlagTable().parse_or_exit(argc, argv); // takes no arguments
     std::cout << "== Table 1: per-layer FLOPs / IO bytes (OPT family, "
                  "FP16) ==\n"
               << "operating point: B=16, N=1024 prefill tokens, "

@@ -42,8 +42,9 @@ emit(const std::string &name, const workload::DatasetConfig &cfg,
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    harness::FlagTable().parse_or_exit(argc, argv); // takes no arguments
     double sharegpt[6] = {768.2, 695, 1556, 195.9, 87, 518};
     emit("ShareGPT", workload::DatasetConfig::sharegpt(), sharegpt);
 

@@ -7,14 +7,10 @@
  * violation it prints the auditor's report plus the exact command line
  * that replays the failing case.
  *
- * Usage:
- *   fuzz_runner [--iters=N] [--seed=S] [--jobs=J] [--system=NAME|all]
- *               [--chaos] [--nodes=N] [--replicas=N] [--ctrl-chaos]
- *   fuzz_runner --repro-seed=S --repro-config=NAME [--chaos] [--nodes=N]
- *               [--replicas=N] [--ctrl-chaos] [--log=debug]
- *
- * The repro form runs exactly one case — the one a failure printed —
- * optionally with leveled event logging for post-mortem inspection.
+ * A bad argument prints the usage and exits 2. The repro form
+ * (--repro-seed=S --repro-config=NAME plus the case's axes) runs
+ * exactly one case — the one a failure printed — optionally with
+ * leveled event logging (--log=debug) for post-mortem inspection.
  * --chaos derives a fault schedule (instance crashes, link outages,
  * stragglers) from each case seed and replays it under full audit; a
  * chaos case's repro line carries the flag, so pasting it back
@@ -24,11 +20,10 @@
  * --replicas=N runs WindServe cases under an N-replica control plane
  * (no RNG draw — a pure parameter); --ctrl-chaos adds leader crashes
  * and control partitions to each case's schedule, drawn strictly after
- * every other axis, and defaults --replicas to 3 when not given
- * explicitly.
+ * every other axis, and runs 3 replicas unless --replicas names more.
  */
-#include <cstdlib>
 #include <iostream>
+#include <stdexcept>
 #include <string>
 
 #include "windserve/windserve.hpp"
@@ -37,36 +32,25 @@ using namespace windserve;
 
 namespace {
 
-bool
-arg_value(const std::string &arg, const char *key, std::string &out)
-{
-    std::string prefix = std::string(key) + "=";
-    if (arg.rfind(prefix, 0) != 0)
-        return false;
-    out = arg.substr(prefix.size());
-    return true;
-}
-
 int
-repro(std::uint64_t seed, const std::string &config_name, bool chaos,
-      std::size_t nodes, std::size_t replicas, bool ctrl_chaos)
+repro(std::uint64_t seed, harness::SystemKind kind,
+      const harness::FuzzAxes &axes)
 {
-    harness::SystemKind kind = harness::parse_system_kind(config_name);
     std::cout << "replaying seed " << seed << " on "
               << harness::to_string(kind)
-              << (chaos ? " (chaos)" : "")
-              << (nodes > 1 ? " (" + std::to_string(nodes) + " nodes)" : "")
-              << (replicas > 1
-                      ? " (" + std::to_string(replicas) + " replicas)"
+              << (axes.chaos ? " (chaos)" : "")
+              << (axes.nodes > 1
+                      ? " (" + std::to_string(axes.nodes) + " nodes)"
                       : "")
-              << (ctrl_chaos ? " (ctrl-chaos)" : "")
-              << "\n";
-    harness::FuzzResult r = harness::run_fuzz_case(
-        harness::make_fuzz_config(seed, kind, chaos, nodes, replicas,
-                                  ctrl_chaos));
+              << (axes.replicas_run() > 1
+                      ? " (" + std::to_string(axes.replicas_run()) +
+                            " replicas)"
+                      : "")
+              << (axes.ctrl_chaos ? " (ctrl-chaos)" : "") << "\n";
+    harness::FuzzResult r = harness::run_fuzz_case(seed, kind, axes);
     std::cout << "ok: " << r.audit_events << " events audited, "
               << r.finished << "/" << r.num_requests << " finished";
-    if (chaos)
+    if (axes.chaos)
         std::cout << ", " << r.aborted << " aborted";
     std::cout << ", checksum " << std::hex << r.checksum << std::dec
               << "\n";
@@ -80,53 +64,39 @@ main(int argc, char **argv)
 {
     harness::FuzzOptions opt;
     opt.jobs = harness::default_jobs();
-    bool have_repro_seed = false;
+    std::string system = "all";
     std::uint64_t repro_seed = 0;
     std::string repro_config = "windserve";
+    std::string log;
 
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i], v;
-        if (arg_value(arg, "--iters", v)) {
-            opt.iterations = std::stoul(v);
-        } else if (arg_value(arg, "--seed", v)) {
-            opt.base_seed = std::stoull(v);
-        } else if (arg_value(arg, "--jobs", v)) {
-            opt.jobs = std::stoul(v);
-        } else if (arg_value(arg, "--system", v)) {
-            if (v != "all")
-                opt.systems = {harness::parse_system_kind(v)};
-        } else if (arg_value(arg, "--repro-seed", v)) {
-            have_repro_seed = true;
-            repro_seed = std::stoull(v);
-        } else if (arg_value(arg, "--repro-config", v)) {
-            repro_config = v;
-        } else if (arg == "--chaos") {
-            opt.chaos = true;
-        } else if (arg_value(arg, "--nodes", v)) {
-            opt.nodes = std::stoul(v);
-        } else if (arg_value(arg, "--replicas", v)) {
-            opt.replicas = std::stoul(v);
-        } else if (arg == "--ctrl-chaos") {
-            opt.ctrl_chaos = true;
-        } else if (arg_value(arg, "--log", v)) {
-            sim::Log::set_level(v == "trace"   ? sim::LogLevel::Trace
-                                : v == "debug" ? sim::LogLevel::Debug
-                                               : sim::LogLevel::Info);
-        } else {
-            std::cerr << "unknown argument: " << arg << "\n";
-            return 2;
-        }
-    }
+    harness::FlagTable t;
+    t.add("--iters", opt.iterations, "cases per system (default 70)");
+    t.add("--seed", opt.base_seed, "case i uses seed S + i (default 1)", "S");
+    t.add("--jobs", opt.jobs, "worker threads (default: hardware threads)");
+    t.add("--system", system, "one system, or all (default)", "NAME");
+    t.add("--repro-seed", repro_seed, "replay the case a failure printed",
+          "S");
+    t.add("--repro-config", repro_config,
+          "system of the replayed case (default windserve)", "NAME");
+    harness::declare_fuzz_axes(t, opt);
+    t.add("--log", log, "event log level: info, debug or trace", "LEVEL");
+    t.parse_or_exit(argc, argv);
 
-    // Control chaos without an explicit replica count gets the
-    // canonical 3-replica control plane (1 replica cannot fail over).
-    if (opt.ctrl_chaos && opt.replicas <= 1)
-        opt.replicas = 3;
-
+    harness::SystemKind repro_kind{};
     try {
-        if (have_repro_seed)
-            return repro(repro_seed, repro_config, opt.chaos, opt.nodes,
-                         opt.replicas, opt.ctrl_chaos);
+        if (system != "all")
+            opt.systems = {harness::parse_system_kind(system)};
+        repro_kind = harness::parse_system_kind(repro_config);
+    } catch (const std::invalid_argument &e) {
+        t.fail(e.what());
+    }
+    if (!log.empty())
+        sim::Log::set_level(log == "trace"   ? sim::LogLevel::Trace
+                            : log == "debug" ? sim::LogLevel::Debug
+                                             : sim::LogLevel::Info);
+    try {
+        if (t.seen("--repro-seed"))
+            return repro(repro_seed, repro_kind, opt);
 
         std::cout << "fuzzing " << opt.iterations << " cases x "
                   << opt.systems.size() << " systems (base seed "
@@ -135,8 +105,8 @@ main(int argc, char **argv)
                   << (opt.nodes > 1
                           ? ", " + std::to_string(opt.nodes) + " nodes"
                           : "")
-                  << (opt.replicas > 1
-                          ? ", " + std::to_string(opt.replicas) +
+                  << (opt.replicas_run() > 1
+                          ? ", " + std::to_string(opt.replicas_run()) +
                                 " replicas"
                           : "")
                   << (opt.ctrl_chaos ? ", ctrl-chaos" : "")

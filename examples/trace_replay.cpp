@@ -2,22 +2,24 @@
  * @file
  * Replay a workload trace from CSV and export full results.
  *
- * Pipeline: load (or synthesise) a trace -> run a serving system with a
- * timeline recorder attached -> write per-request results and the
- * time-series to CSV for offline analysis/plotting.
+ * Pipeline: load (or synthesise) a trace -> run a serving system with
+ * tracing and telemetry attached -> write per-request results and the
+ * sampled metric series to CSV for offline analysis/plotting.
  *
  * Usage:
  *   trace_replay                         # synthesise a demo trace
  *   trace_replay my_trace.csv            # replay your own trace
  *   trace_replay my_trace.csv results.csv timeline.csv trace.json
  *
- * The fourth output is a Chrome trace-event file (request/GPU/transfer
- * spans plus the timeline probes as counter tracks) — open it in
- * chrome://tracing or https://ui.perfetto.dev.
+ * The third output is the metric series in long form
+ * (time,family,labels,value); the fourth is a Chrome trace-event file
+ * (request/GPU/transfer spans plus the metric series as counter
+ * tracks) — open it in chrome://tracing or https://ui.perfetto.dev.
  *
  * Trace schema: arrival_time,prompt_tokens,output_tokens (header and
  * '#' comments allowed; arrivals non-decreasing).
  */
+#include <algorithm>
 #include <fstream>
 #include <iostream>
 
@@ -54,32 +56,28 @@ main(int argc, char **argv)
 
     engine::RunOptions opts;
     opts.tracing = true;
+    opts.telemetry = obs::TelemetryConfig{}; // sampled every sim second
     opts.slo = metrics::SloSpec::opt_13b_sharegpt();
 
-    metrics::TimelineRecorder timeline(sys.simulator(), 1.0);
-    timeline.add_probe("prefill_queue_tokens", [&] {
-        return static_cast<double>(
-            sys.prefill_instance().waiting_prefill_tokens());
-    });
-    timeline.add_probe("decode_running", [&] {
-        return static_cast<double>(
-            sys.decode_instance().running_decode_requests());
-    });
-    timeline.add_probe("decode_kv_occupancy", [&] {
-        return sys.decode_instance().blocks().occupancy();
-    });
-    timeline.start(3600.0);
-
     auto run = sys.run(trace, opts);
-    timeline.stop();
+    const obs::MetricRegistry &reg = sys.telemetry()->registry();
+    auto peak = [&](const char *family, const std::string &labels) {
+        const std::vector<double> &v = reg.series(family, labels);
+        return v.empty() ? 0.0 : *std::max_element(v.begin(), v.end());
+    };
+    const std::string prefill =
+        "instance=\"" + sys.prefill_instance().name() + "\"";
+    const std::string decode =
+        "instance=\"" + sys.decode_instance().name() + "\"";
 
     std::cout << metrics::detailed_report(run.metrics) << "\n\n";
     std::cout << "timeline peaks: prefill queue "
-              << timeline.peak("prefill_queue_tokens")
+              << peak("ws_queue_tokens", prefill + ",queue=\"prefill\"")
               << " tokens, decode batch "
-              << timeline.peak("decode_running")
+              << peak("ws_queue_requests",
+                      decode + ",queue=\"decode_running\"")
               << " requests, decode KV occupancy "
-              << metrics::fmt_percent(timeline.peak("decode_kv_occupancy"))
+              << metrics::fmt_percent(peak("ws_kv_block_util", decode))
               << "\n";
 
     const char *results_path =
@@ -90,11 +88,10 @@ main(int argc, char **argv)
         argc > 4 ? argv[4] : "/tmp/windserve_trace.json";
     workload::save_results_csv(results_path, run.requests);
     std::ofstream tl(timeline_path);
-    tl << timeline.csv();
+    tl << reg.csv();
 
-    // Merge the probe series into the span trace so the queue/occupancy
-    // curves overlay the GPU timeline in Perfetto.
-    timeline.export_to(*sys.trace());
+    // run() already merged the sampled series into the span trace, so
+    // the queue/occupancy curves overlay the GPU timeline in Perfetto.
     std::ofstream chrome(chrome_path);
     sys.trace()->write_chrome_json(chrome);
     std::cout << "wrote " << results_path << ", " << timeline_path

@@ -44,7 +44,9 @@ SimAuditor::violate(std::string invariant, RequestId req, std::string detail)
         std::ostringstream os;
         os << "audit invariant '" << v.invariant << "' violated: "
            << v.detail << " (req " << v.req << ", t=" << v.sim_time
-           << "s)\n  repro: " << repro_line();
+           << "s)";
+        if (!cfg_.repro_config.empty())
+            os << "\n  repro: " << repro_line();
         throw InvariantViolation(std::move(v), os.str());
     }
 }
@@ -682,7 +684,8 @@ SimAuditor::report() const
         os << "  [" << v.invariant << "] t=" << v.sim_time << " req="
            << v.req << ": " << v.detail << "\n";
     }
-    os << "  repro: " << repro_line() << "\n";
+    if (!cfg_.repro_config.empty())
+        os << "  repro: " << repro_line() << "\n";
     return os.str();
 }
 
@@ -690,10 +693,8 @@ std::string
 SimAuditor::repro_line() const
 {
     std::ostringstream os;
-    os << "--repro-seed=" << cfg_.repro_seed;
-    if (!cfg_.repro_config.empty())
-        os << " --repro-config=" << cfg_.repro_config;
-    os << cfg_.repro_extra;
+    os << "--repro-seed=" << cfg_.repro_seed
+       << " --repro-config=" << cfg_.repro_config << cfg_.repro_extra;
     return os.str();
 }
 

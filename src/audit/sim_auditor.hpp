@@ -71,7 +71,9 @@ struct AuditConfig {
     double time_tolerance = 1e-6;
     /** Seed that reproduces this run (stamped into the repro line). */
     std::uint64_t repro_seed = 0;
-    /** Config token for the repro line (e.g. "windserve"). */
+    /** Config token for the repro line (e.g. "windserve"). Empty: the
+     *  run is not a fuzz case fuzz_runner could replay, so violations
+     *  carry no repro line. */
     std::string repro_config;
     /** Extra CLI flags appended verbatim to the repro line (e.g.
      *  " --chaos" for fault-injected fuzz cases). */
@@ -285,7 +287,8 @@ class SimAuditor
     /** Multi-line human-readable summary of recorded violations. */
     std::string report() const;
 
-    /** CLI fragment replaying this run: "--repro-seed=S [--repro-config=C]". */
+    /** CLI fragment replaying this run: "--repro-seed=S
+     *  --repro-config=C" plus repro_extra. */
     std::string repro_line() const;
 
     const AuditConfig &config() const { return cfg_; }

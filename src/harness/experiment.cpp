@@ -1,30 +1,24 @@
 #include "harness/experiment.hpp"
 
+#include <strings.h>
+
+#include <iterator>
+#include <stdexcept>
+
 #include "obs/trace_recorder.hpp"
 
 namespace windserve::harness {
 
-const char *
-to_string(SystemKind k)
-{
-    switch (k) {
-      case SystemKind::WindServe:
-        return "WindServe";
-      case SystemKind::DistServe:
-        return "DistServe";
-      case SystemKind::Vllm:
-        return "vLLM";
-      case SystemKind::WindServeNoSplit:
-        return "WindServe-no-split";
-      case SystemKind::WindServeNoResche:
-        return "WindServe-no-resche";
-      case SystemKind::WindServeNoDispatch:
-        return "WindServe-no-dispatch";
-    }
-    return "unknown";
-}
-
 namespace {
+
+/** Display names in SystemKind order: the one list to_string() and
+ *  parse_system_kind() read. */
+constexpr const char *kSystemNames[] = {
+    "WindServe",          "DistServe",           "vLLM",
+    "WindServe-no-split", "WindServe-no-resche", "WindServe-no-dispatch",
+};
+static_assert(std::size(kSystemNames) ==
+              static_cast<std::size_t>(SystemKind::WindServeNoDispatch) + 1);
 
 std::size_t
 num_pods_of(const ExperimentConfig &cfg)
@@ -88,6 +82,21 @@ make_windserve(const ExperimentConfig &cfg)
 
 } // namespace
 
+const char *
+to_string(SystemKind k)
+{
+    return kSystemNames[static_cast<std::size_t>(k)];
+}
+
+SystemKind
+parse_system_kind(const std::string &name)
+{
+    for (std::size_t i = 0; i < std::size(kSystemNames); ++i)
+        if (strcasecmp(kSystemNames[i], name.c_str()) == 0)
+            return static_cast<SystemKind>(i);
+    throw std::invalid_argument("unknown system: " + name);
+}
+
 std::unique_ptr<engine::ServingSystem>
 make_system(const ExperimentConfig &cfg)
 {
@@ -150,32 +159,26 @@ make_trace(const ExperimentConfig &cfg)
     return workload::TraceBuilder(tc).build();
 }
 
-ExperimentResult
-run_experiment(const ExperimentConfig &cfg)
+engine::RunOptions
+make_run_options(const ExperimentConfig &cfg)
 {
-    auto system = make_system(cfg);
     engine::RunOptions opts;
     opts.slo = cfg.scenario.slo;
     opts.horizon = cfg.horizon;
     opts.tracing = cfg.record_trace;
-    if (cfg.audit) {
-        audit::AuditConfig ac;
-        ac.repro_seed = cfg.seed;
-        ac.repro_config = to_string(cfg.system);
-        if (cfg.faults)
-            ac.repro_extra = " --chaos";
-        if (cfg.num_nodes > 1)
-            ac.repro_extra += " --nodes=" + std::to_string(cfg.num_nodes);
-        // Strictly appended after every historical field so old
-        // --repro-seed lines replay byte-identically.
-        if (cfg.ctrl_replicas > 1)
-            ac.repro_extra +=
-                " --replicas=" + std::to_string(cfg.ctrl_replicas);
-        opts.audit = std::move(ac);
-    }
+    if (cfg.audit)
+        opts.audit.emplace();
     opts.faults = cfg.faults; // horizon <= 0 inherits opts.horizon
     opts.telemetry = cfg.telemetry;
     opts.intra_threads = cfg.intra_threads;
+    return opts;
+}
+
+ExperimentResult
+run_experiment(const ExperimentConfig &cfg)
+{
+    auto system = make_system(cfg);
+    engine::RunOptions opts = make_run_options(cfg);
     auto trace = make_trace(cfg);
     auto run = system->run(trace, opts);
 

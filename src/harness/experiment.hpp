@@ -29,7 +29,12 @@ enum class SystemKind {
     WindServeNoDispatch, ///< extra ablation: no dynamic prefill dispatch
 };
 
+/** Display name of @p k ("WindServe", "vLLM", ...). */
 const char *to_string(SystemKind k);
+
+/** The SystemKind whose display name is @p name, in any case
+ *  ("windserve", "vLLM", ...). Throws std::invalid_argument otherwise. */
+SystemKind parse_system_kind(const std::string &name);
 
 /** One experiment = (scenario, system, rate, trace size, seed). */
 struct ExperimentConfig {
@@ -159,6 +164,11 @@ make_system(const ExperimentConfig &cfg);
 
 /** Build the workload trace an ExperimentConfig describes. */
 std::vector<workload::Request> make_trace(const ExperimentConfig &cfg);
+
+/** The engine::RunOptions an ExperimentConfig describes. An audited
+ *  config gets an auditor without a repro line: only fuzz cases, which
+ *  fuzz_runner can replay, carry one (see run_fuzz_case). */
+engine::RunOptions make_run_options(const ExperimentConfig &cfg);
 
 /** Run one experiment end to end. */
 ExperimentResult run_experiment(const ExperimentConfig &cfg);

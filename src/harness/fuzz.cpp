@@ -1,11 +1,7 @@
 #include "harness/fuzz.hpp"
 
-#include <algorithm>
-#include <cctype>
-#include <cstring>
-#include <stdexcept>
-
 #include "audit/sim_auditor.hpp"
+#include "harness/flags.hpp"
 #include "harness/parallel.hpp"
 #include "simcore/rng.hpp"
 
@@ -52,9 +48,31 @@ result_checksum(const std::vector<workload::Request> &requests)
     return acc;
 }
 
+void
+declare_fuzz_axes(FlagTable &t, FuzzAxes &axes)
+{
+    // Declaration order is repro-line order: each axis was appended
+    // after every older one, so historical repro lines render unchanged.
+    t.add("--chaos", axes.chaos, "seed-derived fault schedule per case");
+    t.add("--nodes", axes.nodes, "cluster nodes per case (default 1)");
+    t.add("--replicas", axes.replicas,
+          "WindServe control-plane replicas (default 1; 3 with --ctrl-chaos)");
+    t.add("--ctrl-chaos", axes.ctrl_chaos,
+          "leader crashes and control partitions per case");
+}
+
+std::string
+fuzz_axes_flags(const FuzzAxes &axes)
+{
+    FuzzAxes shown;
+    FlagTable t;
+    declare_fuzz_axes(t, shown); // the defaults are the declared values
+    shown = axes;
+    return t.render();
+}
+
 ExperimentConfig
-make_fuzz_config(std::uint64_t seed, SystemKind system, bool chaos,
-                 std::size_t nodes, std::size_t replicas, bool ctrl_chaos)
+make_fuzz_config(std::uint64_t seed, SystemKind system, const FuzzAxes &axes)
 {
     // Independent stream per (seed, system) so the same seed explores
     // different configs on each system.
@@ -98,7 +116,7 @@ make_fuzz_config(std::uint64_t seed, SystemKind system, bool chaos,
     if (rng.chance(0.2))
         cfg.thrd = rng.uniform(0.05, 0.5);
 
-    if (chaos) {
+    if (axes.chaos) {
         // All chaos draws come AFTER every base draw: toggling the flag
         // never perturbs the fault-free config of the same seed.
         // Tight dials: the sampled traces (40-140 requests on 4 GPUs)
@@ -124,7 +142,7 @@ make_fuzz_config(std::uint64_t seed, SystemKind system, bool chaos,
             fc.recovery.max_attempts =
                 static_cast<std::size_t>(rng.uniform_int(1, 4));
         }
-        if (nodes > 1) {
+        if (axes.nodes > 1) {
             // Cluster chaos: whole-node crashes and (via the generic
             // link-outage class, which also targets registered NICs)
             // inter-node link failures. Drawn strictly after every
@@ -136,7 +154,7 @@ make_fuzz_config(std::uint64_t seed, SystemKind system, bool chaos,
         }
         cfg.faults = fc; // horizon <= 0: takes the experiment horizon
     }
-    if (ctrl_chaos) {
+    if (axes.ctrl_chaos) {
         // Control-plane chaos: leader crashes and control partitions.
         // Drawn strictly after EVERY existing axis (base, chaos, node
         // chaos) so toggling --ctrl-chaos never perturbs a historical
@@ -159,37 +177,22 @@ make_fuzz_config(std::uint64_t seed, SystemKind system, bool chaos,
         }
         cfg.faults = fc2;
     }
-    cfg.num_nodes = nodes == 0 ? 1 : nodes;
+    cfg.num_nodes = axes.nodes == 0 ? 1 : axes.nodes;
     // Replica count is a pure parameter (no draw): the control plane
     // forks its own seed stream.
-    cfg.ctrl_replicas = replicas == 0 ? 1 : replicas;
+    cfg.ctrl_replicas = axes.replicas_run();
     return cfg;
 }
 
 FuzzResult
-run_fuzz_case(const ExperimentConfig &cfg)
+run_fuzz_case(const ExperimentConfig &cfg, const FuzzAxes &axes)
 {
     auto system = make_system(cfg);
-    engine::RunOptions opts;
-    opts.slo = cfg.scenario.slo;
-    opts.horizon = cfg.horizon;
-    audit::AuditConfig ac;
+    engine::RunOptions opts = make_run_options(cfg);
+    audit::AuditConfig &ac = opts.audit.emplace();
     ac.repro_seed = cfg.seed;
     ac.repro_config = to_string(cfg.system);
-    // A control-chaos-only schedule (crash_mtbf == 0) is NOT --chaos:
-    // the repro line must rebuild the exact draw sequence.
-    if (cfg.faults && cfg.faults->crash_mtbf > 0.0)
-        ac.repro_extra = " --chaos";
-    if (cfg.num_nodes > 1)
-        ac.repro_extra += " --nodes=" + std::to_string(cfg.num_nodes);
-    // Strictly appended after every historical field.
-    if (cfg.ctrl_replicas > 1)
-        ac.repro_extra +=
-            " --replicas=" + std::to_string(cfg.ctrl_replicas);
-    if (cfg.faults && cfg.faults->leader_mtbf > 0.0)
-        ac.repro_extra += " --ctrl-chaos";
-    opts.audit = std::move(ac);
-    opts.faults = cfg.faults; // horizon <= 0 inherits opts.horizon
+    ac.repro_extra = fuzz_axes_flags(axes);
     auto trace = make_trace(cfg);
     auto run = system->run(trace, opts);
     const audit::SimAuditor *aud = system->audit();
@@ -206,13 +209,14 @@ run_fuzz_case(const ExperimentConfig &cfg)
     for (const auto &r : run.requests)
         res.generated_tokens += r.generated;
     res.checksum = result_checksum(run.requests);
+    res.repro_line = aud->repro_line();
     return res;
 }
 
 FuzzResult
-run_fuzz_case(std::uint64_t seed, SystemKind system)
+run_fuzz_case(std::uint64_t seed, SystemKind system, const FuzzAxes &axes)
 {
-    return run_fuzz_case(make_fuzz_config(seed, system));
+    return run_fuzz_case(make_fuzz_config(seed, system, axes), axes);
 }
 
 FuzzSummary
@@ -224,36 +228,14 @@ run_fuzz(const FuzzOptions &opt)
     parallel_for(total, opt.jobs, [&](std::size_t i) {
         std::size_t iter = i / opt.systems.size();
         SystemKind system = opt.systems[i % opt.systems.size()];
-        sum.results[i] = run_fuzz_case(make_fuzz_config(
-            opt.base_seed + static_cast<std::uint64_t>(iter), system,
-            opt.chaos, opt.nodes, opt.replicas, opt.ctrl_chaos));
+        sum.results[i] = run_fuzz_case(
+            opt.base_seed + static_cast<std::uint64_t>(iter), system, opt);
     });
     for (const auto &r : sum.results) {
         sum.total_events += r.audit_events;
         sum.total_violations += r.audit_violations;
     }
     return sum;
-}
-
-SystemKind
-parse_system_kind(const std::string &name)
-{
-    std::string k;
-    for (char c : name)
-        k += static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-    if (k == "windserve")
-        return SystemKind::WindServe;
-    if (k == "distserve")
-        return SystemKind::DistServe;
-    if (k == "vllm")
-        return SystemKind::Vllm;
-    if (k == "windserve-no-split")
-        return SystemKind::WindServeNoSplit;
-    if (k == "windserve-no-resche")
-        return SystemKind::WindServeNoResche;
-    if (k == "windserve-no-dispatch")
-        return SystemKind::WindServeNoDispatch;
-    throw std::invalid_argument("unknown system: " + name);
 }
 
 } // namespace windserve::harness

@@ -7,7 +7,8 @@
  * fail-fast audit::SimAuditor attached. Properties checked per case:
  *
  *  - zero invariant violations (the auditor throws otherwise, carrying
- *    the replayable `--repro-seed=S --repro-config=...` line);
+ *    the replayable `--repro-seed=S --repro-config=...` line, followed
+ *    by the case's non-default axes);
  *  - determinism: the same seed produces bit-identical per-request
  *    results, summarised as an order-independent FNV checksum that the
  *    tests compare across repeat runs and across thread counts.
@@ -39,21 +40,14 @@ struct FuzzResult {
     std::size_t aborted = 0;            ///< chaos mode: retry cap exceeded
     std::uint64_t generated_tokens = 0; ///< sum over all requests
     std::uint64_t checksum = 0;         ///< FNV over per-request results
+    std::string repro_line; ///< fuzz_runner flags that replay this case
 };
 
-/** Options of a fuzz campaign. */
-struct FuzzOptions {
-    /** Randomized cases per system. */
-    std::size_t iterations = 70;
-    /** Case i of a system uses seed base_seed + i. */
-    std::uint64_t base_seed = 1;
-    /** Worker threads (cases are independent; results are slot-ordered
-     *  so the output is identical at any thread count). */
-    std::size_t jobs = 1;
-    /** Systems to sweep; defaults to all three. */
-    std::vector<SystemKind> systems = {SystemKind::WindServe,
-                                       SystemKind::DistServe,
-                                       SystemKind::Vllm};
+class FlagTable;
+
+/** The axes of a fuzz case besides (seed, system); each is one
+ *  fuzz_runner flag, declared once in declare_fuzz_axes(). */
+struct FuzzAxes {
     /** Chaos mode: derive a fault schedule from each case seed and run
      *  it under full audit (crash edges enabled). */
     bool chaos = false;
@@ -68,9 +62,38 @@ struct FuzzOptions {
     std::size_t replicas = 1;
     /** Control-plane chaos: derive leader-crash / control-partition
      *  dials for each case (drawn strictly after every existing axis,
-     *  so the flag never perturbs a historical case). Meaningful with
-     *  replicas >= 2. */
+     *  so the flag never perturbs a historical case). */
     bool ctrl_chaos = false;
+
+    /** Control replicas the case runs: ctrl_chaos with replicas <= 1
+     *  gets the canonical 3, since 1 replica cannot fail over. */
+    std::size_t replicas_run() const
+    {
+        return replicas > 1 ? replicas : ctrl_chaos ? 3 : 1;
+    }
+};
+
+/** Declare @p axes as fuzz_runner's --chaos, --nodes, --replicas and
+ *  --ctrl-chaos flags on @p t. */
+void declare_fuzz_axes(FlagTable &t, FuzzAxes &axes);
+
+/** The flags that replay @p axes: every axis that differs from its
+ *  default, rendered from declare_fuzz_axes() (" --chaos --nodes=2"). */
+std::string fuzz_axes_flags(const FuzzAxes &axes);
+
+/** Options of a fuzz campaign: the axes of every case, and its size. */
+struct FuzzOptions : FuzzAxes {
+    /** Randomized cases per system. */
+    std::size_t iterations = 70;
+    /** Case i of a system uses seed base_seed + i. */
+    std::uint64_t base_seed = 1;
+    /** Worker threads (cases are independent; results are slot-ordered
+     *  so the output is identical at any thread count). */
+    std::size_t jobs = 1;
+    /** Systems to sweep; defaults to all three. */
+    std::vector<SystemKind> systems = {SystemKind::WindServe,
+                                       SystemKind::DistServe,
+                                       SystemKind::Vllm};
 };
 
 /** Aggregated outcome of a campaign (all cases, in deterministic order). */
@@ -82,34 +105,33 @@ struct FuzzSummary {
 
 /**
  * Derive the randomized experiment config of fuzz case @p seed on
- * @p system. Pure function of its arguments. With @p chaos the config
+ * @p system. Pure function of its arguments. With chaos the config
  * additionally carries a seed-derived fault schedule; the chaos draws
  * come after every base draw, so a case's fault-free config is
- * untouched by the flag. @p nodes > 1 runs the case on a multi-node
+ * untouched by the flag. nodes > 1 runs the case on a multi-node
  * cluster; its extra chaos draws come after every chaos draw, so the
- * node axis never perturbs a single-node case either. @p replicas
- * (pure parameter, no draw) runs WindServe cases under a replicated
- * control plane; @p ctrl_chaos adds leader-crash / control-partition
- * dials, drawn strictly after every other axis.
+ * node axis never perturbs a single-node case either. replicas (pure
+ * parameter, no draw) runs WindServe cases under a replicated control
+ * plane; ctrl_chaos adds leader-crash / control-partition dials, drawn
+ * strictly after every other axis.
  */
 ExperimentConfig make_fuzz_config(std::uint64_t seed, SystemKind system,
-                                  bool chaos = false,
-                                  std::size_t nodes = 1,
-                                  std::size_t replicas = 1,
-                                  bool ctrl_chaos = false);
+                                  const FuzzAxes &axes = {});
 
 /** Order-independent FNV-1a checksum of per-request outcomes. */
 std::uint64_t result_checksum(const std::vector<workload::Request> &requests);
 
 /**
- * Run one audited case. Throws audit::InvariantViolation (fail-fast)
- * if any invariant breaks; the exception message contains the repro
- * line.
+ * Run one audited case: the config of (@p seed, @p system, @p axes).
+ * Throws audit::InvariantViolation (fail-fast) if any invariant breaks;
+ * the exception message carries the fuzz_runner repro line.
  */
-FuzzResult run_fuzz_case(const ExperimentConfig &cfg);
+FuzzResult run_fuzz_case(std::uint64_t seed, SystemKind system,
+                         const FuzzAxes &axes = {});
 
-/** Convenience: run_fuzz_case(make_fuzz_config(seed, system)). */
-FuzzResult run_fuzz_case(std::uint64_t seed, SystemKind system);
+/** Run @p cfg, a fuzz config (possibly edited after make_fuzz_config)
+ *  whose repro line names @p axes. Always audited. */
+FuzzResult run_fuzz_case(const ExperimentConfig &cfg, const FuzzAxes &axes);
 
 /**
  * Run a full campaign (iterations x systems cases). The first
@@ -117,9 +139,5 @@ FuzzResult run_fuzz_case(std::uint64_t seed, SystemKind system);
  * thread.
  */
 FuzzSummary run_fuzz(const FuzzOptions &opt);
-
-/** Parse "windserve"/"distserve"/"vllm" (any case, also the display
- *  names to_string emits). Throws std::invalid_argument otherwise. */
-SystemKind parse_system_kind(const std::string &name);
 
 } // namespace windserve::harness

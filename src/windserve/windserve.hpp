@@ -95,11 +95,11 @@
 #include "metrics/collector.hpp"
 #include "metrics/report.hpp"
 #include "metrics/slo.hpp"
-#include "metrics/timeline.hpp"
 
 // experiment harness
 #include "harness/configs.hpp"
 #include "harness/experiment.hpp"
+#include "harness/flags.hpp"
 #include "harness/fuzz.hpp"
 #include "harness/parallel.hpp"
 #include "harness/sweep.hpp"

@@ -474,6 +474,34 @@ TEST(AuditReport, NonFailFastAccumulates)
     EXPECT_EQ(aud.repro_line(), "--repro-seed=42 --repro-config=windserve");
 }
 
+// Only fuzz cases name a repro config. Any other audited run (a bench
+// cell, a golden) reports its violation without a repro line, which
+// fuzz_runner would replay as a different, fuzz-generated case.
+TEST(AuditReport, NoReproLineWithoutReproConfig)
+{
+    sim::Simulator s;
+    au::AuditConfig cfg;
+    cfg.repro_seed = 42;
+    cfg.fail_fast = false;
+    au::SimAuditor quiet(s, cfg);
+    kv::BlockManager bm(64);
+    bm.set_audit(&quiet, "gpu0");
+    bm.release(99);
+    EXPECT_EQ(quiet.report().find("repro"), std::string::npos)
+        << quiet.report();
+
+    cfg.fail_fast = true;
+    au::SimAuditor loud(s, cfg);
+    bm.set_audit(&loud, "gpu0");
+    try {
+        bm.release(98);
+        ADD_FAILURE() << "expected a kv-double-free violation";
+    } catch (const au::InvariantViolation &e) {
+        EXPECT_EQ(std::string(e.what()).find("repro"), std::string::npos)
+            << e.what();
+    }
+}
+
 // ---------------------------------------------------------------------
 // audited end-to-end runs
 // ---------------------------------------------------------------------

@@ -561,9 +561,9 @@ TEST(CtrlFuzz, NewAxesNeverPerturbHistoricalConfigs)
     // draw: the base config and the instance-crash dials are untouched.
     for (std::uint64_t seed : {101ull, 202ull, 303ull}) {
         auto old_cfg = hs::make_fuzz_config(seed, hs::SystemKind::WindServe,
-                                            true, 2);
+                                            {true, 2});
         auto new_cfg = hs::make_fuzz_config(seed, hs::SystemKind::WindServe,
-                                            true, 2, 1, false);
+                                            {true, 2, 1, false});
         EXPECT_EQ(old_cfg.num_requests, new_cfg.num_requests);
         EXPECT_EQ(old_cfg.per_gpu_rate, new_cfg.per_gpu_rate);
         EXPECT_EQ(old_cfg.kv_capacity_tokens_override,
@@ -576,7 +576,7 @@ TEST(CtrlFuzz, NewAxesNeverPerturbHistoricalConfigs)
         EXPECT_EQ(old_cfg.faults->leader_mtbf, 0.0);
 
         auto chaos_cfg = hs::make_fuzz_config(seed, hs::SystemKind::WindServe,
-                                              true, 2, 3, true);
+                                              {true, 2, 3, true});
         EXPECT_EQ(chaos_cfg.ctrl_replicas, 3u);
         ASSERT_TRUE(chaos_cfg.faults);
         EXPECT_EQ(chaos_cfg.faults->crash_mtbf, old_cfg.faults->crash_mtbf);

@@ -7,10 +7,27 @@
  */
 #include <gtest/gtest.h>
 
+#include <sstream>
+
+#include "harness/flags.hpp"
 #include "harness/fuzz.hpp"
 #include "harness/parallel.hpp"
 
 namespace hs = windserve::harness;
+
+namespace {
+
+std::vector<std::string>
+split(const std::string &line)
+{
+    std::istringstream in(line);
+    std::vector<std::string> out;
+    for (std::string tok; in >> tok;)
+        out.push_back(tok);
+    return out;
+}
+
+} // namespace
 
 // The headline property: no randomized workload/config drives any
 // system into an invariant violation. A failure throws
@@ -138,10 +155,8 @@ TEST(FuzzAudit, MultiNodeSeedReplayIsExact)
     for (hs::SystemKind k :
          {hs::SystemKind::WindServe, hs::SystemKind::DistServe,
           hs::SystemKind::Vllm}) {
-        hs::FuzzResult a =
-            hs::run_fuzz_case(hs::make_fuzz_config(77, k, true, 2));
-        hs::FuzzResult b =
-            hs::run_fuzz_case(hs::make_fuzz_config(77, k, true, 2));
+        hs::FuzzResult a = hs::run_fuzz_case(77, k, {true, 2});
+        hs::FuzzResult b = hs::run_fuzz_case(77, k, {true, 2});
         EXPECT_EQ(a.checksum, b.checksum) << a.system_name;
         EXPECT_EQ(a.audit_events, b.audit_events) << a.system_name;
     }
@@ -151,13 +166,11 @@ TEST(FuzzAudit, MultiNodeSeedReplayIsExact)
     // from `--repro-seed=77 --repro-config=windserve --chaos --nodes=2`
     // at 1 and at 8 intra-run threads (identical), the second line with
     // `--replicas=3 --ctrl-chaos` appended.
-    EXPECT_EQ(hs::run_fuzz_case(hs::make_fuzz_config(
-                                    77, hs::SystemKind::WindServe, true, 2))
-                  .checksum,
-              0xb0f152066a9bd191ULL);
-    EXPECT_EQ(hs::run_fuzz_case(
-                  hs::make_fuzz_config(77, hs::SystemKind::WindServe, true,
-                                       2, 3, true))
+    EXPECT_EQ(
+        hs::run_fuzz_case(77, hs::SystemKind::WindServe, {true, 2}).checksum,
+        0xb0f152066a9bd191ULL);
+    EXPECT_EQ(hs::run_fuzz_case(77, hs::SystemKind::WindServe,
+                                {true, 2, 3, true})
                   .checksum,
               0x95a551ec30244f81ULL);
     // The single-node cases, fault-free and under chaos, recorded when
@@ -171,8 +184,9 @@ TEST(FuzzAudit, MultiNodeSeedReplayIsExact)
                   {true, 0x33d66a8243f092ULL, 2965}};
     for (const auto &s : single) {
         auto cfg = hs::make_fuzz_config(77, hs::SystemKind::WindServe,
-                                        s.chaos);
-        EXPECT_EQ(hs::run_fuzz_case(cfg).checksum, s.checksum) << s.chaos;
+                                        {s.chaos});
+        EXPECT_EQ(hs::run_fuzz_case(cfg, {s.chaos}).checksum, s.checksum)
+            << s.chaos;
         EXPECT_EQ(hs::run_experiment(cfg).events_fired, s.events)
             << s.chaos;
     }
@@ -182,9 +196,9 @@ TEST(FuzzAudit, NodeAxisDoesNotPerturbSingleNodeConfigs)
 {
     for (bool chaos : {false, true}) {
         auto legacy = hs::make_fuzz_config(9, hs::SystemKind::WindServe,
-                                           chaos);
+                                           {chaos});
         auto one =
-            hs::make_fuzz_config(9, hs::SystemKind::WindServe, chaos, 1);
+            hs::make_fuzz_config(9, hs::SystemKind::WindServe, {chaos, 1});
         EXPECT_EQ(legacy.num_requests, one.num_requests);
         EXPECT_EQ(legacy.per_gpu_rate, one.per_gpu_rate);
         EXPECT_EQ(legacy.kv_capacity_tokens_override,
@@ -198,7 +212,7 @@ TEST(FuzzAudit, NodeAxisDoesNotPerturbSingleNodeConfigs)
         }
         // The multi-node variant keeps every base draw too.
         auto multi =
-            hs::make_fuzz_config(9, hs::SystemKind::WindServe, chaos, 2);
+            hs::make_fuzz_config(9, hs::SystemKind::WindServe, {chaos, 2});
         EXPECT_EQ(legacy.num_requests, multi.num_requests);
         EXPECT_EQ(legacy.per_gpu_rate, multi.per_gpu_rate);
         if (chaos)
@@ -211,16 +225,85 @@ TEST(FuzzAudit, NodeAxisDoesNotPerturbSingleNodeConfigs)
 // forced on runs clean and its NIC outages are replayable.
 TEST(FuzzAudit, InterNodeLinkOutagesHoldInvariants)
 {
-    auto cfg = hs::make_fuzz_config(13, hs::SystemKind::WindServe, true, 2);
+    const hs::FuzzAxes axes{true, 2};
+    auto cfg = hs::make_fuzz_config(13, hs::SystemKind::WindServe, axes);
     ASSERT_TRUE(cfg.faults);
     cfg.faults->link_mtbf = 15.0; // force frequent outages on all links,
     cfg.faults->mean_outage = 3.0; // NICs included (generic link class)
     cfg.faults->degrade_factor = 0.0;
-    hs::FuzzResult a = hs::run_fuzz_case(cfg);
-    hs::FuzzResult b = hs::run_fuzz_case(cfg);
+    hs::FuzzResult a = hs::run_fuzz_case(cfg, axes);
+    hs::FuzzResult b = hs::run_fuzz_case(cfg, axes);
     EXPECT_EQ(a.audit_violations, 0u);
     EXPECT_EQ(a.checksum, b.checksum);
     EXPECT_GT(a.audit_events, 0u);
+}
+
+// The axes render into the repro line from the same declaration
+// fuzz_runner parses, so every combination parses back to the same
+// axes and hence the same config.
+TEST(FuzzAudit, ReproFlagsRoundTripEveryAxisCombination)
+{
+    for (unsigned mask = 0; mask < 16; ++mask) {
+        const hs::FuzzAxes axes{(mask & 1) != 0, mask & 2 ? 2u : 1u,
+                                mask & 4 ? 3u : 1u, (mask & 8) != 0};
+        hs::FuzzAxes back;
+        hs::FlagTable t;
+        hs::declare_fuzz_axes(t, back);
+        t.parse(split(hs::fuzz_axes_flags(axes)));
+        EXPECT_EQ(back.chaos, axes.chaos) << mask;
+        EXPECT_EQ(back.nodes, axes.nodes) << mask;
+        EXPECT_EQ(back.replicas, axes.replicas) << mask;
+        EXPECT_EQ(back.ctrl_chaos, axes.ctrl_chaos) << mask;
+
+        auto a = hs::make_fuzz_config(21, hs::SystemKind::WindServe, axes);
+        auto b = hs::make_fuzz_config(21, hs::SystemKind::WindServe, back);
+        EXPECT_EQ(a.num_requests, b.num_requests) << mask;
+        EXPECT_EQ(a.num_nodes, b.num_nodes) << mask;
+        EXPECT_EQ(a.ctrl_replicas, b.ctrl_replicas) << mask;
+        ASSERT_EQ(a.faults.has_value(), b.faults.has_value()) << mask;
+        if (a.faults) {
+            EXPECT_EQ(a.faults->crash_mtbf, b.faults->crash_mtbf) << mask;
+            EXPECT_EQ(a.faults->node_mtbf, b.faults->node_mtbf) << mask;
+            EXPECT_EQ(a.faults->leader_mtbf, b.faults->leader_mtbf) << mask;
+        }
+    }
+    // Historical repro lines keep their flag order; a control-chaos-only
+    // schedule is not --chaos.
+    EXPECT_EQ(hs::fuzz_axes_flags({}), "");
+    EXPECT_EQ(hs::fuzz_axes_flags({true, 2, 3, true}),
+              " --chaos --nodes=2 --replicas=3 --ctrl-chaos");
+    EXPECT_EQ(hs::fuzz_axes_flags({false, 1, 3, true}),
+              " --replicas=3 --ctrl-chaos");
+}
+
+// End to end: the repro line a chaos case and a control-chaos-only case
+// carry, parsed the way fuzz_runner parses it, replays the checksum
+// recorded from fuzz_runner before the flag table existed.
+TEST(FuzzAudit, ReproLineReplaysRecordedChecksums)
+{
+    const struct {
+        std::uint64_t seed;
+        hs::FuzzAxes axes;
+        std::uint64_t checksum;
+    } cases[] = {{77, {true, 2}, 0xb0f152066a9bd191ULL},
+                 {11, {false, 1, 3, true}, 0x163092cdba0310a4ULL}};
+    for (const auto &c : cases) {
+        std::string line =
+            hs::run_fuzz_case(c.seed, hs::SystemKind::WindServe, c.axes)
+                .repro_line;
+        std::uint64_t seed = 0;
+        std::string config;
+        hs::FuzzAxes axes;
+        hs::FlagTable t;
+        t.add("--repro-seed", seed, "seed");
+        t.add("--repro-config", config, "system");
+        hs::declare_fuzz_axes(t, axes);
+        t.parse(split(line));
+        EXPECT_EQ(hs::run_fuzz_case(seed, hs::parse_system_kind(config), axes)
+                      .checksum,
+                  c.checksum)
+            << line;
+    }
 }
 
 TEST(FuzzAudit, ParseSystemKindRoundTrips)

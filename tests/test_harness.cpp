@@ -5,6 +5,7 @@
  */
 #include <gtest/gtest.h>
 
+#include "harness/flags.hpp"
 #include "harness/sweep.hpp"
 #include "harness/table.hpp"
 
@@ -175,4 +176,98 @@ TEST(SystemKind, NamesRoundTrip)
     EXPECT_STREQ(hs::to_string(hs::SystemKind::WindServeNoSplit),
                  "WindServe-no-split");
     EXPECT_STREQ(hs::to_string(hs::SystemKind::Vllm), "vLLM");
+}
+
+namespace {
+
+/** The flag kinds every driver uses, on one table. */
+struct DriverFlags {
+    std::size_t n = 10;
+    std::size_t jobs = 1;
+    double rate = 1.0;
+    std::string out;
+    bool audit = false;
+    std::string json;
+    hs::FlagTable table{"prog"};
+
+    DriverFlags()
+    {
+        table.positional("num_requests", n, "requests");
+        table.add("--jobs", jobs, "threads").alias("-j");
+        table.add("--rate", rate, "rate", "R");
+        table.add("--trace-out", out, "trace file", "FILE");
+        table.add("--audit", audit, "audit");
+        table.add_optional("--json", json, "BENCH.json", "json");
+    }
+};
+
+} // namespace
+
+TEST(FlagTable, EverySpellingParses)
+{
+    DriverFlags a;
+    a.table.parse({"42", "--jobs", "3", "--rate=1.5", "--trace-out", "t.json",
+                   "--audit", "--json"});
+    EXPECT_EQ(a.n, 42u);
+    EXPECT_EQ(a.jobs, 3u);
+    EXPECT_EQ(a.rate, 1.5);
+    EXPECT_EQ(a.out, "t.json");
+    EXPECT_TRUE(a.audit);
+    EXPECT_EQ(a.json, "BENCH.json");
+    EXPECT_TRUE(a.table.seen("--jobs"));
+
+    DriverFlags b;
+    b.table.parse({"-j", "5", "--json=x.json", "--jobs=6"});
+    EXPECT_EQ(b.jobs, 6u); // the last spelling wins
+    EXPECT_EQ(b.json, "x.json");
+    EXPECT_EQ(b.n, 10u);
+    EXPECT_FALSE(b.table.seen("--audit"));
+}
+
+TEST(FlagTable, MalformedArgumentsThrow)
+{
+    const std::vector<std::vector<std::string>> bad = {
+        {"--jobs=abc"},   {"--jobs", "42x"}, {"--jobs=-1"},
+        {"--jobs="},      {"--jobs"},        {"-j"},
+        {"--rate=1.5x"},  {"--rate", ""},    {"--audit=1"},
+        {"--json="},      {"--bogus"},       {"abc"},
+        {"7", "8"},       {"-5"},
+    };
+    for (const auto &args : bad) {
+        DriverFlags f;
+        EXPECT_THROW(f.table.parse(args), std::invalid_argument) << args[0];
+    }
+}
+
+TEST(FlagTable, UnknownArgumentsPassThroughInOrder)
+{
+    std::size_t iters = 0;
+    hs::FlagTable t;
+    t.add("--iters", iters, "events");
+    auto rest = t.parse({"--benchmark_filter=BM_x", "--iters", "7", "extra"},
+                        true);
+    EXPECT_EQ(iters, 7u);
+    EXPECT_EQ(rest,
+              (std::vector<std::string>{"--benchmark_filter=BM_x", "extra"}));
+}
+
+TEST(FlagTable, UsageListsEveryArgument)
+{
+    DriverFlags f;
+    std::string u = f.table.usage();
+    EXPECT_EQ(u.rfind("usage: prog [num_requests] [options]\n", 0), 0u) << u;
+    for (const char *row : {"  num_requests ", "  --jobs N, -j N ",
+                            "  --rate R ", "  --trace-out FILE ",
+                            "  --audit ", "  --json[=PATH] "})
+        EXPECT_NE(u.find(row), std::string::npos) << row << "\n" << u;
+}
+
+TEST(FlagTable, RenderShowsChangedFlagsInDeclarationOrder)
+{
+    DriverFlags f;
+    EXPECT_EQ(f.table.render(), "");
+    f.audit = true;
+    f.jobs = 3;
+    f.out = "t.json";
+    EXPECT_EQ(f.table.render(), " --jobs=3 --trace-out=t.json --audit");
 }

@@ -292,8 +292,9 @@ TEST(LpChaos, MidOffloadCrashCampaignMatchesSequentialReplay)
 {
     std::uint64_t offload_cases = 0;
     for (std::uint64_t seed = 1; seed <= 6; ++seed) {
-        hs::ExperimentConfig cfg = hs::make_fuzz_config(
-            seed, hs::SystemKind::WindServe, /*chaos=*/true, /*nodes=*/2);
+        const hs::FuzzAxes axes{/*chaos=*/true, /*nodes=*/2};
+        hs::ExperimentConfig cfg =
+            hs::make_fuzz_config(seed, hs::SystemKind::WindServe, axes);
         // Campaign-local pressure: a tiny KV pool plus low watermarks
         // keep decode offloads in flight when the chaos schedule kills
         // pods (the fuzz traces are too small to trip the stock pair).
@@ -301,7 +302,7 @@ TEST(LpChaos, MidOffloadCrashCampaignMatchesSequentialReplay)
         cfg.offload_highwater = 0.10;
         cfg.offload_lowwater = 0.08;
 
-        hs::FuzzResult res = hs::run_fuzz_case(cfg);
+        hs::FuzzResult res = hs::run_fuzz_case(cfg, axes);
         EXPECT_EQ(res.audit_violations, 0u) << "seed=" << seed;
 
         // Replay the same seed with the system held, so the cluster
