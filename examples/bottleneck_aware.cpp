@@ -15,7 +15,6 @@
  *
  * Usage: bottleneck_aware [num_requests]
  */
-#include <cstdlib>
 #include <iostream>
 
 #include "windserve/windserve.hpp"
@@ -63,7 +62,10 @@ show(const harness::Scenario &scenario, double rate, std::size_t n)
 int
 main(int argc, char **argv)
 {
-    std::size_t n = argc > 1 ? std::atoi(argv[1]) : 2000;
+    std::size_t n = 2000;
+    harness::FlagTable flags;
+    flags.positional("num_requests", n, "trace length (default 2000)");
+    flags.parse_or_exit(argc, argv);
     std::cout << "Bottleneck-aware ability demo (paper Fig. 12)\n\n";
     // Left: decode-starved. DistServe fails on TPOT; WindServe
     // reschedules long decodes onto the prefill instance's memory.

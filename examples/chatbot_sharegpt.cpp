@@ -7,7 +7,6 @@
  *
  * Usage: chatbot_sharegpt [num_requests] [csv_path]
  */
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 
@@ -18,8 +17,12 @@ main(int argc, char **argv)
 {
     using namespace windserve;
 
-    std::size_t n = argc > 1 ? std::atoi(argv[1]) : 2000;
-    const char *csv_path = argc > 2 ? argv[2] : nullptr;
+    std::size_t n = 2000;
+    std::string csv_path;
+    harness::FlagTable flags;
+    flags.positional("num_requests", n, "trace length (default 2000)")
+        .positional("csv_path", csv_path, "also write the table as CSV");
+    flags.parse_or_exit(argc, argv);
 
     auto scenario = harness::Scenario::opt13b_sharegpt();
     std::cout << "Chatbot scenario: " << scenario.name << ", "
@@ -62,7 +65,7 @@ main(int argc, char **argv)
     }
     std::cout << "\n" << table.render();
 
-    if (csv_path) {
+    if (!csv_path.empty()) {
         std::ofstream out(csv_path);
         out << table.csv();
         std::cout << "\nwrote " << csv_path << "\n";

@@ -12,7 +12,6 @@
  *
  * Usage: heterogeneous_cluster [per_gpu_rate] [num_requests]
  */
-#include <cstdlib>
 #include <iostream>
 
 #include "windserve/windserve.hpp"
@@ -22,8 +21,12 @@ using namespace windserve;
 int
 main(int argc, char **argv)
 {
-    double rate = argc > 1 ? std::atof(argv[1]) : 2.5;
-    std::size_t n = argc > 2 ? std::atoi(argv[2]) : 2000;
+    double rate = 2.5;
+    std::size_t n = 2000;
+    harness::FlagTable flags;
+    flags.positional("per_gpu_rate", rate, "req/s per GPU (default 2.5)")
+        .positional("num_requests", n, "trace length (default 2000)");
+    flags.parse_or_exit(argc, argv);
 
     auto scenario = harness::Scenario::opt13b_sharegpt();
     workload::TraceConfig tc;

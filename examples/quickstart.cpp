@@ -8,7 +8,6 @@
  *   cmake -B build -G Ninja && cmake --build build
  *   ./build/examples/quickstart [per_gpu_rate] [num_requests]
  */
-#include <cstdlib>
 #include <iostream>
 
 #include "windserve/windserve.hpp"
@@ -18,9 +17,12 @@ main(int argc, char **argv)
 {
     using namespace windserve;
 
-    double rate = argc > 1 ? std::atof(argv[1]) : 4.0;
-    std::size_t n = argc > 2 ? static_cast<std::size_t>(std::atoi(argv[2]))
-                             : 2000;
+    double rate = 4.0;
+    std::size_t n = 2000;
+    harness::FlagTable flags;
+    flags.positional("per_gpu_rate", rate, "req/s per GPU (default 4.0)")
+        .positional("num_requests", n, "trace length (default 2000)");
+    flags.parse_or_exit(argc, argv);
 
     harness::Scenario scenario = harness::Scenario::opt13b_sharegpt();
     std::cout << "scenario: " << scenario.name << " | "

@@ -8,7 +8,6 @@
  *
  * Usage: summarization_longbench [per_gpu_rate] [num_requests]
  */
-#include <cstdlib>
 #include <iostream>
 
 #include "windserve/windserve.hpp"
@@ -18,8 +17,12 @@ main(int argc, char **argv)
 {
     using namespace windserve;
 
-    double rate = argc > 1 ? std::atof(argv[1]) : 1.25;
-    std::size_t n = argc > 2 ? std::atoi(argv[2]) : 2000;
+    double rate = 1.25;
+    std::size_t n = 2000;
+    harness::FlagTable flags;
+    flags.positional("per_gpu_rate", rate, "req/s per GPU (default 1.25)")
+        .positional("num_requests", n, "trace length (default 2000)");
+    flags.parse_or_exit(argc, argv);
 
     auto scenario = harness::Scenario::llama2_13b_longbench();
     std::cout << "Summarization scenario: " << scenario.name << " @ "

@@ -32,7 +32,12 @@ main(int argc, char **argv)
 
     std::vector<workload::Request> trace;
     if (argc > 1) {
-        trace = workload::load_trace_csv(argv[1]);
+        try {
+            trace = workload::load_trace_csv(argv[1]);
+        } catch (const std::exception &e) {
+            std::cerr << "trace_replay: " << e.what() << "\n";
+            return 2;
+        }
         std::cout << "loaded " << trace.size() << " requests from "
                   << argv[1] << "\n";
     } else {

@@ -500,13 +500,14 @@ SimAuditor::on_ctrl_apply(std::uint64_t seq, RequestId req)
 
 void
 SimAuditor::on_decode_group(const std::string &owner, std::uint32_t group,
-                            const std::vector<Request *> &members,
+                            const std::vector<DecodeMemberClock> &members,
                             std::size_t cached_sum)
 {
     std::size_t sum = 0;
     std::unordered_set<const Request *> seen;
-    for (const Request *r : members) {
-        sum += r->context_length();
+    for (const DecodeMemberClock &m : members) {
+        tick(); // each member's clock check is one audited event
+        const Request *r = m.req;
         if (r->decode_group != group || !seen.insert(r).second) {
             std::ostringstream os;
             os << owner << ": member of group " << group << " tagged "
@@ -514,6 +515,41 @@ SimAuditor::on_decode_group(const std::string &owner, std::uint32_t group,
                << (r->decode_group == group ? " (listed twice)" : "");
             violate("decode-group-membership", r->id, os.str());
         }
+        // From scratch: one token per settled pass since its start.
+        std::size_t generated = m.base;
+        if (m.start != 0 && m.through >= m.start)
+            generated += m.through - m.start + 1;
+        std::size_t ctx = r->prompt_tokens + generated;
+        sum += ctx;
+        std::ostringstream os;
+        if (generated != m.generated) {
+            os << "clock serves " << m.generated << " tokens, start pass "
+               << m.start << " through " << m.through << " gives "
+               << generated;
+        } else if (m.start != 0) {
+            // The next token lands one pass after the later of its last
+            // earned pass and the pass before its start.
+            std::uint64_t last = std::max(m.through, m.start - 1);
+            std::uint64_t cross =
+                last + (ctx >= m.kv_tokens ? 1 : m.kv_tokens - ctx + 1);
+            std::uint64_t finish =
+                last + (generated + 1 >= r->output_tokens
+                            ? 1
+                            : r->output_tokens - generated);
+            if (cross != m.cross)
+                os << "next block crossing cached at pass " << m.cross
+                   << ", context " << ctx << " in " << m.kv_tokens
+                   << " KV tokens crosses at pass " << cross;
+            else if (finish != m.finish)
+                os << "finish cached at pass " << m.finish << ", "
+                   << generated << " of " << r->output_tokens
+                   << " tokens finish at pass " << finish;
+            else if (r->state != RequestState::Decoding &&
+                     r->state != RequestState::Migrating)
+                os << "started member is " << workload::to_string(r->state);
+        }
+        if (!os.str().empty())
+            violate("decode-group-clock", r->id, owner + ": " + os.str());
     }
     if (sum != cached_sum) {
         std::ostringstream os;

@@ -20,6 +20,11 @@
  *    group's tag (so a request sits in at most one group), appears in
  *    its group once, and the group's cached context sum equals the
  *    recomputed one; no terminal request keeps a tag;
+ *  - decode-group clock: each member's token count, next KV block
+ *    crossing and finish pass, recomputed from its start pass, the
+ *    group's pass count and the blocks it holds, match what the group
+ *    serves and caches, and a member that has started is Decoding or
+ *    Migrating;
  *  - host swap-pool conservation: bytes swapped out are credited back
  *    on swap-in, pool occupancy never exceeds capacity, no request is
  *    swapped out twice or swapped in while not resident;
@@ -86,6 +91,27 @@ struct Violation {
     std::string detail;    ///< human-readable specifics
     double sim_time = 0.0; ///< simulated time of the offending event
     workload::RequestId req = 0; ///< offending request (0 if none)
+};
+
+/**
+ * One decode-group member as its group's token clock holds it at a pass
+ * start (engine::DecodeGroup::audit_view fills these; DESIGN.md §15).
+ */
+struct DecodeMemberClock {
+    const workload::Request *req = nullptr;
+    /** Tokens it had before its start pass. */
+    std::size_t base = 0;
+    /** First pass it earns a token at; 0 if no pass started with it. */
+    std::uint64_t start = 0;
+    /** Last settled pass whose token the clock's view gives it. */
+    std::uint64_t through = 0;
+    /** Token count the group serves for it. */
+    std::size_t generated = 0;
+    /** Cached passes of its next KV block crossing and of its finish. */
+    std::uint64_t cross = 0;
+    std::uint64_t finish = 0;
+    /** Tokens its KV blocks hold, per the instance's BlockManager. */
+    std::size_t kv_tokens = 0;
 };
 
 /** Thrown by a fail-fast auditor; carries the violation and repro line. */
@@ -173,12 +199,17 @@ class SimAuditor
      * Decode group @p group of @p owner is about to start a pass with
      * @p members and cached context sum @p cached_sum. Invariants: each
      * member's decode_group tag is @p group and it is listed once
-     * ("decode-group-membership"), and @p cached_sum is the exact sum
-     * of the members' context lengths ("decode-group-sum"). Not counted
-     * in events_audited(): it observes state, not an event.
+     * ("decode-group-membership"); each member's token count, next
+     * block crossing and finish pass, recomputed from scratch, match
+     * the clock's, and a started member is Decoding or Migrating
+     * ("decode-group-clock"); @p cached_sum is the exact sum of the
+     * recomputed context lengths ("decode-group-sum"). Each member
+     * checked counts as one event in events_audited(): this per-pass
+     * check stands in for the per-member Decoding transition and KV
+     * grow the clock no longer makes every pass.
      */
     void on_decode_group(const std::string &owner, std::uint32_t group,
-                         const std::vector<workload::Request *> &members,
+                         const std::vector<DecodeMemberClock> &members,
                          std::size_t cached_sum);
 
     // ------------------------------------------------------------------

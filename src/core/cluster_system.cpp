@@ -202,8 +202,8 @@ ClusterServeSystem::tokens_of(const Request *r)
 std::size_t
 ClusterServeSystem::home_of(const Request *r) const
 {
-    auto it = home_pod_.find(r->id);
-    return it == home_pod_.end() ? 0 : it->second;
+    const std::size_t *k = home_pod_.find(r->id);
+    return k == nullptr ? 0 : *k;
 }
 
 const std::vector<bool> &
@@ -235,17 +235,16 @@ ClusterServeSystem::admit_arrival(Request *r)
 {
     const std::vector<bool> &live = live_pods();
     std::size_t k = balancer_.route(tokens_of(r), &live);
-    home_pod_[r->id] = k;
+    home_pod_.set(r->id, k);
     pods_[k]->on_arrival(r);
 }
 
 void
 ClusterServeSystem::retire_finished(Request *r)
 {
-    auto it = home_pod_.find(r->id);
-    if (it != home_pod_.end()) {
-        balancer_.release(it->second, tokens_of(r));
-        home_pod_.erase(it);
+    if (const std::size_t *k = home_pod_.find(r->id)) {
+        balancer_.release(*k, tokens_of(r));
+        home_pod_.erase(r->id);
     }
     if (outstanding_ > 0)
         --outstanding_;
@@ -340,7 +339,7 @@ ClusterServeSystem::decide_offload(std::size_t k, Request *r,
         pods_[x.src]->prefill_instance().release_kv(r);
         balancer_.release(x.src, tokens_of(r));
         balancer_.assign(x.dst, tokens_of(r));
-        home_pod_[r->id] = x.dst;
+        home_pod_.set(r->id, x.dst);
         pods_[x.dst]->admit_remote_decode(r);
     });
 }
@@ -361,7 +360,7 @@ ClusterServeSystem::maybe_redispatch_remote(Pod &src, Request *r)
     ++cross_redispatches_;
     balancer_.release(src.index(), tokens_of(r));
     balancer_.assign(dst, tokens_of(r));
-    home_pod_[r->id] = dst;
+    home_pod_.set(r->id, dst);
     pods_[dst]->on_arrival(r);
     return true;
 }

@@ -53,6 +53,7 @@
 #include "hw/topology.hpp"
 #include "obs/decision_journal.hpp"
 #include "obs/trace_recorder.hpp"
+#include "simcore/flat_id_map.hpp"
 #include "simcore/lp.hpp"
 
 namespace windserve::core {
@@ -235,8 +236,9 @@ class ClusterServeSystem : public engine::ServingSystem
     std::vector<std::unique_ptr<hw::SharedChannel>> nics_;
     CrossPodBalancer balancer_;
     std::map<const engine::Instance *, Pod *> pod_of_instance_;
-    /** Current owning pod per in-flight request. */
-    std::map<workload::RequestId, std::size_t> home_pod_;
+    /** Current owning pod per in-flight request (sized by the
+     *  requests in flight, not by the trace). */
+    sim::FlatIdMap<std::size_t> home_pod_;
     std::vector<bool> live_; ///< live_pods() buffer
     /** Cross-pod KV copies in flight: request id -> (src, dst) pod. */
     struct CrossXfer {

@@ -194,14 +194,14 @@ Coordinator::maybe_reschedule(engine::Instance &decode,
         note(0, false, "", "no_victim", 0.0);
         return false;
     }
+    const std::size_t victim_ctx = decode.progress(victim).context_length();
     if (!migration.start(victim)) {
         note(victim->id, false, "", "migration_start_failed",
-             static_cast<double>(victim->context_length()));
+             static_cast<double>(victim_ctx));
         return false;
     }
     note(victim->id, true, "migrate-to-prefill",
-         "occupancy_over_trigger",
-         static_cast<double>(victim->context_length()));
+         "occupancy_over_trigger", static_cast<double>(victim_ctx));
     ++reschedules_;
     if (audit_) {
         audit_->on_reschedule(victim->id, decode.blocks().occupancy(),
@@ -212,13 +212,12 @@ Coordinator::maybe_reschedule(engine::Instance &decode,
             obs::Category::Scheduler, "scheduler", "coordinator",
             "reschedule",
             {obs::num_arg("req", std::uint64_t(victim->id)),
-             obs::num_arg("ctx", std::uint64_t(victim->context_length())),
+             obs::num_arg("ctx", std::uint64_t(victim_ctx)),
              obs::num_arg("decode_occupancy",
                           decode.blocks().occupancy())});
     }
     WS_LOG_AT(Debug, "coordinator", log_now())
-        << "reschedule req " << victim->id << " ctx "
-        << victim->context_length();
+        << "reschedule req " << victim->id << " ctx " << victim_ctx;
     return true;
 }
 

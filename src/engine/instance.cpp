@@ -46,6 +46,8 @@ Instance::Instance(sim::Simulator &sim, InstanceConfig cfg,
     slot_busy_.assign(pp, false);
     groups_ = std::vector<DecodeGroup>(pp);
     chunk_head_.assign(pp, nullptr);
+    hybrid_assists_.resize(pp);
+    group_chunk_.assign(pp, 0);
 }
 
 std::size_t
@@ -377,9 +379,11 @@ Instance::try_start_group(std::size_t g)
     if (grp.busy)
         return;
     sim::SourceScope src(sim_, src_decode_);
-    if (audit_)
-        audit_->on_decode_group(cfg_.name, grp.id(), grp.members(),
+    if (audit_) {
+        grp.audit_view(blocks_, audit_clock_);
+        audit_->on_decode_group(cfg_.name, grp.id(), audit_clock_,
                                 grp.sum_context());
+    }
 
     std::size_t batch = grp.size();
     std::size_t sum_l = grp.sum_context();
@@ -476,7 +480,11 @@ Instance::try_start_group(std::size_t g)
                                         static_cast<double>(sum_l), dur);
     }
 
-    for (Request *r : grp.members()) {
+    // Only members that joined since the last pass start change state:
+    // the others are Decoding already, or Migrating.
+    const std::vector<Request *> &members = grp.members();
+    for (std::size_t i = grp.begin_pass(blocks_); i < members.size(); ++i) {
+        Request *r = members[i];
         if (r->decode_start_time == workload::kNoTime)
             r->decode_start_time = sim_.now();
         // A migrating member keeps its Migrating state: the swap-victim
@@ -499,7 +507,6 @@ Instance::try_start_group(std::size_t g)
         decode_batch_hist_->observe(static_cast<double>(batch));
     grp.busy = true;
     grp.iteration_end = sim_.now() + dur;
-    grp.iteration_members = grp.members();
     sim_.schedule(dur, [this, g, e = epoch_] {
         if (e == epoch_)
             complete_group(g);
@@ -515,10 +522,8 @@ Instance::complete_group(std::size_t g)
         ++decode_iters_;
 
     // Chunk bookkeeping.
-    auto chunk_it = group_chunk_.find(g);
-    if (chunk_it != group_chunk_.end()) {
-        std::size_t c = chunk_it->second;
-        group_chunk_.erase(chunk_it);
+    if (std::size_t c = group_chunk_[g]) {
+        group_chunk_[g] = 0;
         Request *r = chunk_head_[g];
         assert(r != nullptr);
         r->prefilled += c;
@@ -529,54 +534,30 @@ Instance::complete_group(std::size_t g)
     }
 
     // Hybrid assist prefills complete with the pass.
-    auto hy_it = hybrid_assists_.find(g);
-    if (hy_it != hybrid_assists_.end()) {
-        std::vector<Request *> done = std::move(hy_it->second);
-        hybrid_assists_.erase(hy_it);
+    if (!hybrid_assists_[g].empty()) {
+        std::vector<Request *> done;
+        done.swap(hybrid_assists_[g]);
         for (Request *r : done) {
             r->prefilled = r->prompt_tokens;
             finish_prefill_of(r);
         }
     }
 
-    // Token generation for every request that PARTICIPATED in this pass
-    // (the snapshot taken at pass start — a request admitted into the
-    // group mid-pass computed nothing and earns nothing) and is still
-    // resident in the group. An earlier member's block exhaustion may
-    // have swapped a later member out DURING this loop; a swapped-out
-    // member's pass result is discarded with its KV, so it must not
-    // receive the token (and certainly must not "finish" while sitting
-    // in the waiting queue).
-    //
-    // The snapshot is swapped into pass_members_ (complete_group never
-    // nests: it runs only from its scheduled event), so a re-admission
-    // pass started from inside the loop fills the group's other buffer
-    // and neither buffer is reallocated pass after pass.
-    std::vector<Request *> &members = pass_members_;
-    assert(members.empty());
-    members.swap(grp.iteration_members);
-    grp.iteration_members.clear();
-    for (Request *r : members) {
-        if (!grp.contains(r))
-            continue;
-        // Reentrancy guard: a finish callback earlier in this loop may
-        // pump the instance and re-admit a just-parked snapshot member
-        // into this group. It is WaitingDecode again and computed
-        // nothing this pass; only members still in a computing state
-        // (Decoding, or Migrating under stall-free migration) earn the
-        // token.
-        if (r->state != RequestState::Decoding &&
-            r->state != RequestState::Migrating)
-            continue;
-        set_generated(*r, r->generated + 1, &grp);
-        r->note_token(sim_.now());
-        if (r->generated >= r->output_tokens) {
-            finish_request(r);
-        } else if (!blocks_.grow(r->id, r->context_length())) {
-            handle_block_exhaustion(r, g);
-        }
+    // The pass's token goes to the members that were in the group when
+    // it started (a request admitted mid-pass computed nothing and earns
+    // nothing) and are still there: a member swapped out or preempted
+    // meanwhile lost this pass's result with its KV. The clock applies
+    // the token to all of them; only members that finish or outgrow
+    // their KV blocks come back here, in admission order, so a callback
+    // sees earlier members with the token and later ones without it.
+    grp.begin_settle(sim_.now());
+    while (DecodeGroup::Event ev = grp.next_event()) {
+        if (ev.finish)
+            finish_request(ev.req);
+        else
+            grow_kv(ev.req, g, ev.context);
     }
-    members.clear();
+    grp.end_settle();
 
     if (callbacks.on_step)
         callbacks.on_step();
@@ -613,15 +594,15 @@ Instance::finish_request(Request *r)
 }
 
 void
-Instance::handle_block_exhaustion(Request *r, std::size_t g)
+Instance::grow_kv(Request *r, std::size_t g, std::size_t ctx)
 {
-    while (!blocks_.grow(r->id, r->context_length())) {
+    while (!blocks_.grow(r->id, ctx)) {
         if (r->state == RequestState::Migrating) {
             // A migrating request must never be swapped (its KV is mid-
             // copy; the migration manager owns its fate). Un-earn the
             // token whose KV could not be stored and pause decoding;
             // the in-flight migration resumes it on the target.
-            set_generated(*r, r->generated - 1, &groups_[g]);
+            set_generated(*r, ctx - r->prompt_tokens - 1, &groups_[g]);
             pause_decoding(r);
             return;
         }
@@ -647,7 +628,7 @@ Instance::handle_block_exhaustion(Request *r, std::size_t g)
         // preemption; the recompute pass itself is not modeled by the
         // cost layer). Each retry costs at least one decode pass of
         // simulated time, so the loop cannot spin at one instant.
-        set_generated(*r, r->generated - 1, &groups_[g]);
+        set_generated(*r, ctx - r->prompt_tokens - 1, &groups_[g]);
         audit::transition(audit_, *r, RequestState::WaitingDecode);
         for (auto &grp : groups_)
             grp.remove(r);
@@ -655,12 +636,15 @@ Instance::handle_block_exhaustion(Request *r, std::size_t g)
         decode_q_.push_front(r);
         return;
     }
+    // A crossing grow leaves exactly blocks_for(ctx) blocks.
+    groups_[g].set_kv_capacity(r, blocks_.blocks_for(ctx) *
+                                      blocks_.block_size());
 }
 
 bool
 Instance::swap_out(Request *victim)
 {
-    std::size_t ctx = victim->context_length();
+    std::size_t ctx = progress(victim).context_length();
     // Reserve host-pool space FIRST: if the pool is full nothing may
     // change, or a later swap_in would be asked for bytes the pool
     // never accepted.
@@ -756,6 +740,15 @@ Instance::is_decoding(const Request *r) const
     return false;
 }
 
+Progress
+Instance::progress(const Request *r) const
+{
+    for (const auto &grp : groups_)
+        if (grp.contains(r))
+            return grp.progress(grp.index_of(r));
+    return progress_of(*r);
+}
+
 // ---------------------------------------------------------------------
 // fault injection
 // ---------------------------------------------------------------------
@@ -785,7 +778,7 @@ Instance::crash()
     for (const auto &grp : groups_)
         victims.insert(victims.end(), grp.members().begin(),
                        grp.members().end());
-    for (const auto &[g, assists] : hybrid_assists_)
+    for (const auto &assists : hybrid_assists_)
         victims.insert(victims.end(), assists.begin(), assists.end());
 
     // All on-GPU KV is gone — including blocks held for requests that
@@ -810,8 +803,9 @@ Instance::crash()
     sbd_tokens_ = 0;
     for (auto &grp : groups_)
         grp.clear();
-    hybrid_assists_.clear();
-    group_chunk_.clear();
+    for (auto &assists : hybrid_assists_)
+        assists.clear();
+    std::fill(group_chunk_.begin(), group_chunk_.end(), 0);
     swap_ready_.clear();
     swapping_in_.clear();
 
@@ -904,10 +898,9 @@ Instance::refresh_utilization()
         bw += cm.decode_bandwidth_utilization(
             static_cast<double>(grp.size()),
             static_cast<double>(grp.sum_context()));
-        auto it = group_chunk_.find(g);
-        if (it != group_chunk_.end()) {
+        if (group_chunk_[g] != 0) {
             compute += cm.prefill_compute_utilization(
-                static_cast<double>(it->second));
+                static_cast<double>(group_chunk_[g]));
         }
     }
     compute_util_.set_level(sim_.now(), std::min(1.0, compute));
@@ -931,6 +924,8 @@ Instance::mean_bandwidth_utilization()
 void
 Instance::finalize_stats()
 {
+    for (auto &grp : groups_)
+        grp.write_back();
     compute_util_.finalize(sim_.now());
     bw_util_.finalize(sim_.now());
 }

@@ -24,10 +24,10 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
+#include "audit/sim_auditor.hpp"
 #include "engine/batch.hpp"
 #include "engine/execution.hpp"
 #include "engine/local_scheduler.hpp"
@@ -150,6 +150,13 @@ class Instance
     /** True if @p r is currently in a running decode group. */
     bool is_decoding(const Request *r) const;
 
+    /**
+     * Decode progress of @p r as of now: its group clock's view while
+     * it runs here, its own fields otherwise. Every mid-run read of a
+     * running request's token count or context goes through here.
+     */
+    Progress progress(const Request *r) const;
+
     // ------------------------------------------------------------------
     // Introspection for the Global Scheduler
     // ------------------------------------------------------------------
@@ -193,6 +200,9 @@ class Instance
 
     /** All running decode groups (for victim selection). */
     const std::vector<DecodeGroup> &groups() const { return groups_; }
+    /** Mutable groups, for the backup marks BackupManager caches in
+     *  the members' slots. */
+    std::vector<DecodeGroup> &groups() { return groups_; }
 
     /** True while the SBD prefill stream is active. */
     bool sbd_stream_active() const { return sbd_active_; }
@@ -206,7 +216,8 @@ class Instance
     /** Mean achieved HBM bandwidth utilization (Fig. 2 "Mem BW"). */
     double mean_bandwidth_utilization();
 
-    /** Close utilization windows at simulation end. */
+    /** Close utilization windows at simulation end and write every
+     *  running member's progress back into its request. */
     void finalize_stats();
 
     /** Total decode iterations executed. */
@@ -284,7 +295,9 @@ class Instance
     bool chunk_mode_active() const;
     void finish_prefill_of(Request *r);
     void finish_request(Request *r);
-    void handle_block_exhaustion(Request *r, std::size_t g);
+    /** Grow running member @p r of group @p g to @p ctx tokens of KV,
+     *  swapping out or preempting on exhaustion. */
+    void grow_kv(Request *r, std::size_t g, std::size_t ctx);
     /** @return false if the host pool rejected the victim (full). */
     bool swap_out(Request *r);
     void refresh_utilization();
@@ -318,14 +331,13 @@ class Instance
     double sbd_end_ = 0.0;
 
     std::vector<DecodeGroup> groups_;
-    /** Snapshot of the pass complete_group() is settling; swapped with
-     *  the group's iteration_members so both buffers are reused. */
-    std::vector<Request *> pass_members_;
+    /** Reused buffer for the auditor's per-pass group view. */
+    std::vector<audit::DecodeMemberClock> audit_clock_;
 
-    // hybrid assist jobs attached to an in-flight group pass
-    std::unordered_map<std::size_t, std::vector<Request *>> hybrid_assists_;
-    // chunk tokens attached to an in-flight group pass
-    std::unordered_map<std::size_t, std::size_t> group_chunk_;
+    // per group: hybrid assist jobs attached to its in-flight pass
+    std::vector<std::vector<Request *>> hybrid_assists_;
+    // per group: chunk tokens attached to its in-flight pass (0 = none)
+    std::vector<std::size_t> group_chunk_;
 
     std::unordered_set<kvcache::ReqId> swap_ready_;   ///< swap-out done
     std::unordered_set<kvcache::ReqId> swapping_in_;  ///< swap-in running

@@ -99,14 +99,17 @@ select_swap_victim(const std::vector<DecodeGroup> &groups, std::size_t home,
 Request *
 select_migration_victim(const std::vector<DecodeGroup> &groups)
 {
+    // Longest first; on equal lengths the earliest group and member win.
     Request *victim = nullptr;
+    std::size_t floor = 0;
     for (const auto &g : groups) {
-        for (Request *r : g.members()) {
+        g.scan_contexts(floor, [&](std::size_t i, std::size_t ctx) {
+            Request *r = g.members()[i];
             if (r->state == workload::RequestState::Migrating)
-                continue;
-            if (!victim || r->context_length() > victim->context_length())
-                victim = r;
-        }
+                return;
+            victim = r;
+            floor = ctx + 1;
+        });
     }
     return victim;
 }

@@ -20,15 +20,6 @@ FlagTable::add_optional(std::string name, std::string &dst, std::string bare,
     return *this;
 }
 
-FlagTable &
-FlagTable::positional(std::string name, std::size_t &dst, std::string help)
-{
-    add(std::move(name), dst, std::move(help));
-    pos_ = std::move(flags_.back());
-    flags_.pop_back();
-    return *this;
-}
-
 std::vector<std::string>
 FlagTable::parse(const std::vector<std::string> &args, bool pass_unknown)
 {
@@ -40,12 +31,14 @@ FlagTable::parse(const std::vector<std::string> &args, bool pass_unknown)
             return g.name == key || (!g.alias.empty() && g.alias == key);
         });
         if (f == flags_.end()) {
-            bool count = arg.size() < 2 || arg[0] != '-';
-            if (count && pos_.set && !pos_.seen) {
-                if (!pos_.set(arg))
-                    throw std::invalid_argument("bad " + pos_.name + ": '" +
+            bool plain = arg.size() < 2 || arg[0] != '-';
+            auto p = std::find_if(pos_.begin(), pos_.end(),
+                                  [](const Flag &g) { return !g.seen; });
+            if (plain && p != pos_.end()) {
+                if (!p->set(arg))
+                    throw std::invalid_argument("bad " + p->name + ": '" +
                                                 arg + "'");
-                pos_.seen = true;
+                p->seen = true;
             } else if (pass_unknown) {
                 unknown.push_back(arg);
             } else {
@@ -111,8 +104,11 @@ std::string
 FlagTable::usage() const
 {
     std::vector<std::pair<std::string, std::string>> rows;
-    if (pos_.set)
-        rows.emplace_back(pos_.name, pos_.help);
+    std::string synopsis;
+    for (const Flag &p : pos_) {
+        rows.emplace_back(p.name, p.help);
+        synopsis += " [" + p.name + "]";
+    }
     for (const Flag &f : flags_) {
         std::string v = f.arity == Arity::Required   ? " " + f.metavar
                         : f.arity == Arity::Optional ? "[=" + f.metavar + "]"
@@ -123,8 +119,7 @@ FlagTable::usage() const
     std::size_t width = 0;
     for (const auto &r : rows)
         width = std::max(width, r.first.size());
-    std::string out = "usage: " + prog_ +
-                      (pos_.set ? " [" + pos_.name + "]" : "") +
+    std::string out = "usage: " + prog_ + synopsis +
                       (flags_.empty() ? "" : " [options]") + "\n";
     for (const auto &[arg, help] : rows)
         out += "  " + arg + std::string(width + 2 - arg.size(), ' ') + help +

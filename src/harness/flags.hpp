@@ -5,7 +5,8 @@
  * destination; the table parses argv, prints the usage and renders
  * changed values back into flags (the fuzz repro lines). Spellings:
  * `--name=V` or `--name V`; a bare `--name` for switches and
- * optional-value flags; a short alias (`-j N`); one positional count.
+ * optional-value flags; a short alias (`-j N`); positional arguments,
+ * filled in declaration order.
  * Numbers must parse in full ("abc", "42x", "-1" and "" are errors).
  */
 #pragma once
@@ -45,9 +46,16 @@ class FlagTable
         return *this;
     }
 
-    /** The one positional argument, an unsigned count. */
-    FlagTable &positional(std::string name, std::size_t &dst,
-                          std::string help);
+    /** The next positional argument, in declaration order, writing
+     *  @p dst (an unsigned integer, a double or a std::string). */
+    template <class T>
+    FlagTable &positional(std::string name, T &dst, std::string help)
+    {
+        add(std::move(name), dst, std::move(help));
+        pos_.push_back(std::move(flags_.back()));
+        flags_.pop_back();
+        return *this;
+    }
 
     /** Parse @p args into the destinations. Throws std::invalid_argument
      *  on a bad or missing value or an unknown argument; with
@@ -87,7 +95,7 @@ class FlagTable
 
     std::string prog_;
     std::vector<Flag> flags_;
-    Flag pos_; ///< the positional; unset `set` when none is declared
+    std::vector<Flag> pos_; ///< positionals, in order
     std::vector<std::string> rest_;
 };
 

@@ -34,7 +34,7 @@ MigrationManager::start(Request *r)
         return false;
     if (source_.is_down() || target_.is_down())
         return false; // no endpoint to copy from/to until repair
-    std::size_t ctx = r->context_length();
+    std::size_t ctx = source_.progress(r).context_length();
     std::size_t already_there = target_.blocks().holds(r->id)
                                     ? target_.blocks().tokens_of(r->id)
                                     : 0;
@@ -83,7 +83,7 @@ MigrationManager::on_source_step()
         Migration &m = it->second;
         if (m.cancelled || m.paused)
             continue;
-        std::size_t ctx = m.req->context_length();
+        std::size_t ctx = source_.progress(m.req).context_length();
         if (ctx > m.synced_tokens &&
             !xfer_.reverse_channel().is_done(m.transfer)) {
             xfer_.reverse_channel().append(
@@ -193,7 +193,7 @@ MigrationManager::complete(workload::RequestId id)
 
     // The request may still be decoding (the transfer drained faster
     // than the pause check ran): flush the tail with a follow-up copy.
-    std::size_t ctx = r->context_length();
+    std::size_t ctx = source_.progress(r).context_length();
     if (!m.paused) {
         pause(m);
         // A token generated in the final in-flight iteration may still
@@ -279,27 +279,51 @@ BackupManager::maybe_backup()
     if (target_.blocks().occupancy() > cfg_.target_occupancy_limit)
         return;
 
-    // Longest running decode without a backup in flight or on record.
+    // Longest running decode without a backup in flight or on record,
+    // earliest group then earliest member on ties. The scan reads the
+    // clock's dense keys; a member's request is read only when it would
+    // become the new best, and its registry entry only once per
+    // membership (the answer is kept in its backup mark). A Migrating
+    // winner is excluded and the search rerun, which keeps the order.
+    using Mark = engine::DecodeGroup::BackupMark;
     Request *best = nullptr;
-    for (const auto &grp : source_.groups()) {
-        for (Request *r : grp.members()) {
-            if (r->state == RequestState::Migrating)
-                continue;
-            if (registry_.has_backup(r->id) || inflight_.count(r->id))
-                continue;
-            if (r->context_length() < cfg_.min_context_tokens)
-                continue;
-            if (!best || r->context_length() > best->context_length())
+    std::size_t ctx = 0;
+    engine::DecodeGroup *best_grp = nullptr;
+    std::size_t best_i = 0;
+    std::vector<const Request *> migrating;
+    do {
+        if (best)
+            migrating.push_back(best);
+        best = nullptr;
+        std::size_t floor = cfg_.min_context_tokens;
+        for (auto &grp : source_.groups()) {
+            grp.scan_contexts(floor, [&](std::size_t i, std::size_t c) {
+                Request *r = grp.members()[i];
+                if (grp.backup_mark(i) == Mark::Unknown) {
+                    grp.set_backup_mark(i, registry_.has_backup(r->id) ||
+                                                   inflight_.count(r->id)
+                                               ? Mark::Held
+                                               : Mark::None);
+                }
+                if (grp.backup_mark(i) == Mark::Held ||
+                    std::find(migrating.begin(), migrating.end(), r) !=
+                        migrating.end())
+                    return;
                 best = r;
+                ctx = c;
+                best_grp = &grp;
+                best_i = i;
+                floor = c + 1;
+            });
         }
-    }
+    } while (best && best->state == RequestState::Migrating);
     if (!best)
         return;
-    std::size_t ctx = best->context_length();
     if (!target_.blocks().can_allocate(ctx))
         return;
     target_.blocks().allocate(best->id, ctx);
     inflight_[best->id] = ctx;
+    best_grp->set_backup_mark(best_i, Mark::Held);
     Request *r = best;
     double started = sim_.now();
     xfer_.reverse_channel().submit(
@@ -343,6 +367,10 @@ BackupManager::on_target_crash()
 {
     ++generation_;
     inflight_.clear();
+    // The caller wipes the registry with the target's HBM: every
+    // running member is a backup candidate again.
+    for (auto &grp : source_.groups())
+        grp.reset_backup_marks();
 }
 
 void

@@ -47,6 +47,19 @@ expect_rc(2 ${E}/fuzz_runner --seed=)
 expect_rc(2 ${E}/fuzz_runner --system=sglang)
 expect_rc(2 ${E}/fuzz_runner --repro-seed=1 --repro-config=bench_scale)
 
+# Examples read their positional arguments through the same table; a
+# trace CSV that cannot be read is an input error, not an abort.
+foreach(ex quickstart chatbot_sharegpt heterogeneous_cluster
+           summarization_longbench bottleneck_aware)
+    expect_rc(2 ${E}/${ex} abc)
+    expect_rc(2 ${E}/${ex} --bogus)
+endforeach()
+expect_rc(2 ${E}/quickstart 4.0 abc)
+expect_rc(2 ${E}/heterogeneous_cluster 2.5x)
+expect_rc(2 ${E}/trace_replay missing.csv)
+file(WRITE ${OUT}/bad.csv "arrival_time,prompt_tokens,output_tokens\n0,abc,1\n")
+expect_rc(2 ${E}/trace_replay bad.csv)
+
 # Documented invocations, request counts shrunk.
 expect_rc(0 ${B}/bench_table1)
 expect_rc(0 ${B}/bench_fig01 12 --jobs 1)
@@ -65,6 +78,8 @@ expect_rc(0 ${B}/bench_scale --json=scale.json --jobs=1 --requests=2)
 expect_rc(0 ${B}/bench_scale --jobs 2 --requests=2 --rate=2.0 --audit)
 expect_rc(0 ${B}/bench_scale --jobs=1 --requests 2 --spine-oversub=1
             --highwater=0.5 --lowwater=0.4)
+expect_rc(0 ${E}/quickstart 4 12)
+expect_rc(0 ${E}/chatbot_sharegpt 12 chatbot.csv)
 expect_rc(0 ${E}/fuzz_runner --iters=1 --seed=1 --jobs=2)
 expect_rc(0 ${E}/fuzz_runner --iters=1 --jobs=2 --nodes=2 --chaos)
 expect_rc(0 ${E}/fuzz_runner --iters=1 --jobs=2 --chaos --ctrl-chaos

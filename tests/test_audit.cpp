@@ -307,9 +307,12 @@ TEST(AuditDecodeGroup, ConsistentGroupPasses)
     g.add(&a);
     g.add(&b);
     eng::set_generated(a, 3, &g);
-    aud.on_decode_group("d0", g.id(), g.members(), g.sum_context());
+    kv::BlockManager bm(64, 16);
+    std::vector<au::DecodeMemberClock> view;
+    g.audit_view(bm, view);
+    aud.on_decode_group("d0", g.id(), view, g.sum_context());
     EXPECT_TRUE(aud.ok());
-    EXPECT_EQ(aud.events_audited(), 0u); // a state check, not an event
+    EXPECT_EQ(aud.events_audited(), 2u); // one clock check per member
 }
 
 TEST(AuditDecodeGroup, ForeignTagCaught)
@@ -321,7 +324,7 @@ TEST(AuditDecodeGroup, ForeignTagCaught)
     a.id = 7;
     a.prompt_tokens = 10;
     other.add(&a); // a runs in `other` but is listed in g below
-    std::vector<wl::Request *> members{&a};
+    std::vector<au::DecodeMemberClock> members{{&a}};
     auto v = expect_violation("decode-group-membership", [&] {
         aud.on_decode_group("d0", g.id(), members, 10);
     });
@@ -337,7 +340,7 @@ TEST(AuditDecodeGroup, DuplicateMemberCaught)
     a.id = 3;
     a.prompt_tokens = 10;
     g.add(&a);
-    std::vector<wl::Request *> members{&a, &a};
+    std::vector<au::DecodeMemberClock> members{{&a}, {&a}};
     expect_violation("decode-group-membership", [&] {
         aud.on_decode_group("d0", g.id(), members, 20);
     });
@@ -352,9 +355,12 @@ TEST(AuditDecodeGroup, StaleContextSumCaught)
     a.id = 4;
     a.prompt_tokens = 10;
     g.add(&a);
-    a.generated = 5; // bypasses set_generated: the cached sum is stale
+    kv::BlockManager bm(64, 16);
+    std::vector<au::DecodeMemberClock> view;
+    g.audit_view(bm, view);
+    // A cached sum five tokens off the members' recomputed contexts.
     expect_violation("decode-group-sum", [&] {
-        aud.on_decode_group("d0", g.id(), g.members(), g.sum_context());
+        aud.on_decode_group("d0", g.id(), view, g.sum_context() + 5);
     });
 }
 

@@ -332,12 +332,17 @@ TEST(DecodeGroup, ClearUntagsEveryMember)
     eng::DecodeGroup g;
     g.add(&reqs[0]);
     g.add(&reqs[1]);
+    kv::BlockManager bm(64, 16);
+    g.begin_pass(bm);
     g.busy = true;
-    g.iteration_members = g.members();
     g.clear();
     EXPECT_EQ(g.size(), 0u);
     EXPECT_EQ(g.sum_context(), 0u);
-    EXPECT_TRUE(g.iteration_members.empty());
+    // The started pass is forgotten: its completion settles nothing.
+    g.begin_settle(1.0);
+    EXPECT_FALSE(g.next_event());
+    g.end_settle();
+    EXPECT_EQ(g.passes(), 0u);
     EXPECT_FALSE(g.busy);
     for (const auto &r : reqs)
         EXPECT_EQ(r.decode_group, wl::kNoDecodeGroup);

@@ -90,13 +90,15 @@ TEST(StallFreeMigration, DecodingContinuesDuringTransfer)
     f.s.schedule(0.0, [&] { f.decode->enqueue_decode(&r, false); });
     std::size_t tokens_at_start = 0;
     f.s.schedule(0.5, [&] {
-        tokens_at_start = r.generated;
+        tokens_at_start = f.decode->progress(&r).generated;
         ASSERT_TRUE(f.mig->start(&r));
     });
     // 1500 tokens * 819 KB / 2 GB/s ~ 0.6 s of transfer. The request
     // must keep generating during most of that window.
     std::size_t tokens_mid_transfer = 0;
-    f.s.schedule(0.9, [&] { tokens_mid_transfer = r.generated; });
+    f.s.schedule(0.9, [&] {
+        tokens_mid_transfer = f.decode->progress(&r).generated;
+    });
     f.s.run_until(60.0);
     EXPECT_GT(tokens_mid_transfer, tokens_at_start + 5);
     EXPECT_EQ(f.migrated.size(), 1u);
@@ -113,12 +115,13 @@ TEST(StallFreeMigration, BlockingModePausesImmediately)
     f.s.schedule(0.0, [&] { f.decode->enqueue_decode(&r, false); });
     std::size_t tokens_at_start = 0;
     f.s.schedule(0.5, [&] {
-        tokens_at_start = r.generated;
+        tokens_at_start = f.decode->progress(&r).generated;
         ASSERT_TRUE(f.mig->start(&r));
         EXPECT_FALSE(f.decode->is_decoding(&r));
     });
     std::size_t tokens_mid = 0;
-    f.s.schedule(0.9, [&] { tokens_mid = r.generated; });
+    f.s.schedule(0.9,
+                 [&] { tokens_mid = f.decode->progress(&r).generated; });
     f.s.run_until(60.0);
     // Paused immediately: no progress during the transfer (modulo the
     // iteration that was already in flight).
