@@ -284,10 +284,8 @@ SimAuditor::on_transfer_complete(const std::string &chan, std::uint64_t id,
     }
     // Link capacity: the wire cannot beat latency + bytes/bandwidth
     // from the moment the transfer occupied the link. Appended bytes
-    // only extend the same slot, so the bound stays valid. The caller
-    // passes both endpoints of the interval from its OWN clock — in a
-    // cluster run sim_.now() is the hub clock, which lags a
-    // pod-side completion by up to the lookahead window.
+    // only extend the same slot, so the bound stays valid. Both
+    // endpoints of the interval come from the channel's clock.
     double elapsed = end - begun;
     double min_time = latency + bytes / bandwidth;
     double ttol = cfg_.time_tolerance + 1e-9 * std::max(elapsed, min_time);

@@ -183,10 +183,9 @@ class SimAuditor
                             double bytes, bool open);
 
     /** @p begun: when the transfer occupied the link (left the queue);
-     *  @p end: the completion time ON THE CALLER'S CLOCK. In a
-     *  cluster run a pod-owned channel completes on its LP's
-     *  simulator while the auditor's timebase is the hub, so the
-     *  capacity bound must use the caller's clock, not sim_.now(). */
+     *  @p end: its completion time. The channel passes both endpoints
+     *  from its own clock, so the capacity bound never mixes them with
+     *  the auditor's sim_.now(). */
     void on_transfer_complete(const std::string &chan, std::uint64_t id,
                               double bytes, double begun, double end,
                               double bandwidth, double latency);

@@ -17,10 +17,6 @@ using workload::RequestState;
 
 namespace {
 
-/** Bounded-lag window quantum (simulated seconds): pods advance in
- *  windows of max(lookahead, kLpWindow) between hub events. */
-constexpr double kLpWindow = 1e-3;
-
 hw::Topology
 make_cluster_topology(const ClusterConfig &cfg)
 {
@@ -62,16 +58,8 @@ ClusterServeSystem::ClusterServeSystem(ClusterConfig cfg)
     const std::size_t total = cfg_.num_nodes * cfg_.pods_per_node;
     const bool multi = total > 1;
 
-    // Multi-pod clusters are partitioned into logical processes: each
-    // pod simulates on its own kernel; the hub (this->sim_) keeps the
-    // arrivals, the balancer, the NIC fabric and the chaos engine. A
-    // 1-pod cluster shares the hub kernel.
-    if (multi) {
+    if (multi)
         ctl_latency_ = cluster_lookahead_floor(topo_);
-        pod_sims_.reserve(total);
-        for (std::size_t k = 0; k < total; ++k)
-            pod_sims_.push_back(std::make_unique<sim::Simulator>());
-    }
 
     for (std::size_t k = 0; k < total; ++k) {
         WindServeConfig pc = cfg_.pod;
@@ -82,11 +70,7 @@ ClusterServeSystem::ClusterServeSystem(ClusterConfig cfg)
         std::string prefix = multi ? "pod" + std::to_string(k) + "/" : "";
 
         PodHooks hooks;
-        hooks.on_finished = [this, k](Request *r) {
-            // Balancer accounting lives on the hub (the release lands
-            // at the exact finish timestamp).
-            to_hub(k, [this, r] { retire_finished(r); });
-        };
+        hooks.on_finished = [this](Request *r) { retire_finished(r); };
         hooks.offload_decode = [this](Pod &p, Request *r) {
             return maybe_offload(p, r);
         };
@@ -97,17 +81,8 @@ ClusterServeSystem::ClusterServeSystem(ClusterConfig cfg)
                                         std::vector<Request *> &victims) {
             sweep_cross_transfers(p, victims);
         };
-        if (multi) {
-            // The injector runs on the hub; recovery-window closes that
-            // happen mid-window travel as zero-delay messages.
-            hooks.decode_ready = [this](Pod &p, Request *r) {
-                to_hub(p.index(),
-                       [this, r] { faults()->note_decode_ready(r); });
-            };
-        }
-        pods_.push_back(std::make_unique<Pod>(
-            multi ? *pod_sims_[k] : sim_, pc, std::move(hooks),
-            std::move(prefix), k));
+        pods_.push_back(std::make_unique<Pod>(sim_, pc, std::move(hooks),
+                                              std::move(prefix), k));
     }
     for (auto &p : pods_) {
         pod_of_instance_[&p->prefill_instance()] = p.get();
@@ -149,9 +124,9 @@ ClusterServeSystem::ClusterServeSystem(ClusterConfig cfg)
     }
 
     // Replicated control plane: N scheduler replicas as actors on the
-    // hub timeline. Built only on request (>= 2 replicas) — otherwise
-    // no channels, no RNG draws, no events, so single-leader clusters
-    // stay byte-identical to the historical path.
+    // cluster's timeline. Built only on request (>= 2 replicas) —
+    // otherwise no channels, no RNG draws, no events, so single-leader
+    // clusters stay byte-identical to the historical path.
     if (cfg_.ctrl.replicas >= 2) {
         ctrl::ControlPlaneConfig cc = cfg_.ctrl;
         if (cc.seed == 0)
@@ -164,22 +139,18 @@ ClusterServeSystem::ClusterServeSystem(ClusterConfig cfg)
         ctrl_ = std::make_unique<ctrl::ControlPlane>(sim_, cc);
         // KV-directory coherence: each pod's BackupRegistry publishes
         // backup growth / drops / crash wipes into the cluster-wide
-        // directory. The directory lives on the hub, so pod-side
-        // notifications travel as timestamped hub messages mid-window.
+        // directory at the moment they happen.
         for (std::size_t k = 0; k < pods_.size(); ++k) {
             kvcache::BackupRegistry::Listener lis;
             lis.on_record = [this, k](kvcache::ReqId id,
                                       std::size_t tokens) {
-                to_hub(k, [this, k, id, tokens] {
-                    ctrl_->directory().record(id, k, tokens);
-                });
+                ctrl_->directory().record(id, k, tokens);
             };
             lis.on_drop = [this, k](kvcache::ReqId id) {
-                to_hub(k, [this, k, id] { ctrl_->directory().drop(id, k); });
+                ctrl_->directory().drop(id, k);
             };
             lis.on_clear = [this, k] {
-                to_hub(k,
-                       [this, k] { ctrl_->directory().invalidate_pod(k); });
+                ctrl_->directory().invalidate_pod(k);
             };
             pods_[k]->backup_registry().set_listener(std::move(lis));
         }
@@ -260,29 +231,32 @@ ClusterServeSystem::maybe_offload(Pod &src, Request *r)
     if (pods_.size() < 2)
         return false;
     const std::size_t k = src.index();
-    // Local-only admission test — mid-window, remote pods sit at other
-    // timestamps, so their state is off limits. The remote scan happens
-    // on the hub timeline one control-latency later, when every pod's
-    // state at that timestamp is exact.
+    // Local-only admission test. The remote scan models the cross-pod
+    // control latency: it runs one lookahead later and reads every
+    // pod's state at that timestamp.
     if (!src.decode_instance().is_down() &&
         src.decode_instance().kv_used_fraction() < cfg_.offload_highwater)
         return false;
     src.hold_for_offload(r);
-    lp_->post(pod_sims_[k]->now() + ctl_latency_,
-              [this, k, r, inc = r->incarnation] {
-                  if (!ctrl_) {
-                      decide_offload(k, r, inc);
-                      return;
-                  }
-                  // Offload is externally visible: replicate first,
-                  // decide at commit. The hold survives the commit
-                  // latency; a crash meanwhile sweeps the hold and the
-                  // apply falls through harmlessly.
-                  ctrl_->propose(ctrl::CommandKind::Offload, r->id,
-                                 [this, k, r, inc] {
-                                     decide_offload(k, r, inc);
-                                 });
-              });
+    // Its own profiler source, so the decision is not charged to the
+    // prefill pass that parked it.
+    sim::SourceScope tag(sim_, "cluster/offload");
+    sim_.schedule_at(sim_.now() + ctl_latency_,
+                     [this, k, r, inc = r->incarnation] {
+                         if (!ctrl_) {
+                             decide_offload(k, r, inc);
+                             return;
+                         }
+                         // Offload is externally visible: replicate
+                         // first, decide at commit. The hold survives
+                         // the commit latency; a crash meanwhile sweeps
+                         // the hold and the apply falls through
+                         // harmlessly.
+                         ctrl_->propose(ctrl::CommandKind::Offload, r->id,
+                                        [this, k, r, inc] {
+                                            decide_offload(k, r, inc);
+                                        });
+                     });
     return true;
 }
 
@@ -383,45 +357,10 @@ ClusterServeSystem::sweep_cross_transfers(Pod &src,
 void
 ClusterServeSystem::wire(const engine::Attachments &a)
 {
-    const bool multi = !pod_sims_.empty();
-    if (a.telemetry) {
-        obs::Telemetry &t = *a.telemetry;
-        telemetry_tick_ = std::max(t.config().sample_every, 0.0);
-        if (multi) {
-            for (auto &s : pod_sims_)
-                t.arm_lp(*s); // attribute pod events to the profiler
-            if (t.journal()) {
-                // Pod-side decisions journal into per-pod shards;
-                // replay() merges them back (time order, pod-index
-                // tie-break).
-                journal_master_ = t.journal();
-                journal_shards_.reserve(pods_.size());
-                for (auto &p : pods_) {
-                    journal_shards_.push_back(
-                        std::make_unique<obs::DecisionJournal>());
-                    p->set_journal_shard(journal_shards_.back().get());
-                }
-            }
-        }
-    }
-    if (a.trace) {
-        trace_master_ = a.trace;
-        if (multi) {
-            // Each logical process records into a private shard on its
-            // own timebase; replay() absorbs the shards back into the
-            // master in pod order, which fixes the export byte order.
-            trace_shards_.reserve(pods_.size());
-            for (auto &s : pod_sims_)
-                trace_shards_.push_back(
-                    std::make_unique<obs::TraceRecorder>(*s));
-        }
-    }
+    const bool multi = pods_.size() > 1;
     for (std::size_t k = 0; k < pods_.size(); ++k) {
-        engine::Attachments pa = a;
-        if (multi && pa.trace)
-            pa.trace = trace_shards_[k].get();
-        pods_[k]->wire(pa, multi ? "pod=\"" + std::to_string(k) + "\""
-                                 : std::string());
+        pods_[k]->wire(a, multi ? "pod=\"" + std::to_string(k) + "\""
+                                : std::string());
     }
     if (a.telemetry)
         wire_cluster_telemetry(*a.telemetry);
@@ -493,7 +432,7 @@ ClusterServeSystem::wire_cluster_telemetry(obs::Telemetry &t)
     obs::MetricRegistry &reg = t.registry();
     for (auto &nic : nics_)
         reg.link(*nic);
-    if (!pod_sims_.empty()) {
+    if (pods_.size() > 1) {
         reg.counter("ws_cluster_requests_routed_total", "",
                     [this] {
                         return static_cast<double>(balancer_.routed());
@@ -517,9 +456,7 @@ ClusterServeSystem::wire_cluster_telemetry(obs::Telemetry &t)
         }
     }
     if (ctrl_) {
-        // The control plane runs on the hub timeline; its failover
-        // decisions journal straight into the master (merge_shards
-        // stable-sorts, keeping master entries first on time ties).
+        // Failover decisions journal next to the pods' dispatches.
         if (t.journal())
             ctrl_->set_journal(t.journal());
         ctrl::ControlPlane *cp = ctrl_.get();
@@ -573,15 +510,6 @@ ClusterServeSystem::replay(const std::vector<workload::Request> &trace,
 {
     requests_ = trace;
     outstanding_ = requests_.size();
-    if (!pod_sims_.empty()) {
-        sim::LpScheduler::Config lc;
-        lc.lookahead = ctl_latency_;
-        lc.window = kLpWindow;
-        lc.tick = telemetry_tick_;
-        lp_ = std::make_unique<sim::LpScheduler>(sim_, lc);
-        for (auto &s : pod_sims_)
-            lp_->add_lp(*s);
-    }
     if (ctrl_)
         ctrl_->start();
     {
@@ -592,27 +520,9 @@ ClusterServeSystem::replay(const std::vector<workload::Request> &trace,
                              [this, ptr] { on_arrival(ptr); });
         }
     }
-    if (lp_)
-        lp_->run_until(horizon);
-    else
-        sim_.run_until(horizon);
+    sim_.run_until(horizon);
     for (auto &p : pods_)
         p->finalize_stats();
-    // Fold the per-pod observability shards back into the shared
-    // exports, in pod order, BEFORE run() appends request lifecycles
-    // and counter tracks — so every export has the same byte order as
-    // a single shared recorder would give.
-    if (trace_master_) {
-        for (auto &shard : trace_shards_)
-            trace_master_->absorb_shard(*shard);
-    }
-    if (journal_master_) {
-        std::vector<obs::DecisionJournal *> shards;
-        shards.reserve(journal_shards_.size());
-        for (auto &s : journal_shards_)
-            shards.push_back(s.get());
-        journal_master_->merge_shards(shards);
-    }
 }
 
 void

@@ -17,27 +17,23 @@
  *  - crash re-dispatch: a victim whose home pod is fully down is
  *    recomputed at the least-loaded pod with a live instance.
  *
- * Logical processes: a multi-pod cluster is partitioned into one
- * sim::Simulator per pod, coordinated by a sim::LpScheduler around the
- * hub simulator that owns arrivals, the balancer, the NIC fabric and
- * the chaos engine (see simcore/lp.hpp). Pods advance inside
- * conservative bounded-lag windows; cross-pod interactions are
- * timestamped messages onto the hub timeline. The decode-offload
- * decision models an explicit control-plane latency
- * (cluster_lookahead_floor(), the fabric's base latency): the source
- * pod parks the request
- * (Pod::hold_for_offload) and the hub scans remote pressure one
- * lookahead later, when every pod's state at that timestamp is exact.
- * A single-pod cluster runs its pod on the hub simulator itself.
+ * One event queue: every pod runs on the same sim::Simulator as the
+ * arrivals, the balancer, the NIC fabric and the chaos engine, so
+ * cluster code reads each pod's state at its own timestamp.
+ * Retirement, recovery-window closes and KV-directory updates are
+ * direct calls. The decode-offload decision models an explicit
+ * control-plane latency (cluster_lookahead_floor(), the fabric's base
+ * latency): the source pod parks the request (Pod::hold_for_offload)
+ * and the cluster scans remote pressure exactly one lookahead later.
  *
  * Determinism: pod k runs on seed `base ^ (k * golden)` (pod 0 keeps
  * the base seed), the balancer is RNG-free, and all cross-pod traffic
- * flows through the hub simulator's timeline — a cluster run stays a
- * pure function of (config, workload, seed), bit-identical at any
- * --jobs. A 1-node/1-pod cluster is the paper's single testbed
- * (WindServeSystem): no logical processes, no NIC channels, no pod
- * prefixes on instance, channel or metric names and no cluster-only
- * metric families.
+ * runs on the one (time, insertion-seq) ordered queue — a cluster run
+ * stays a pure function of (config, workload, seed), bit-identical at
+ * any --jobs. A 1-node/1-pod cluster is the paper's single testbed
+ * (WindServeSystem): no offload path, no NIC channels, no pod prefixes
+ * on instance, channel or metric names and no cluster-only metric
+ * families.
  */
 #pragma once
 
@@ -51,8 +47,6 @@
 #include "ctrl/control_plane.hpp"
 #include "engine/serving_system.hpp"
 #include "hw/topology.hpp"
-#include "obs/decision_journal.hpp"
-#include "obs/trace_recorder.hpp"
 #include "simcore/flat_id_map.hpp"
 #include "simcore/lp.hpp"
 
@@ -91,9 +85,9 @@ struct ClusterConfig {
 };
 
 /**
- * The cluster's conservative-lookahead floor: the smallest cross-pod
- * interaction latency the fabric guarantees, used both as the decode
- * offload's control-plane latency and as the LpScheduler lookahead.
+ * The cluster's lookahead floor: the smallest cross-pod interaction
+ * latency the fabric guarantees, used as the decode offload's
+ * control-plane latency.
  * Multi-node clusters: the minimum inter-node base latency (default
  * NIC latency, lowered by per-pair overrides). Single-node multi-pod
  * clusters: the PCIe root-complex hop (2x link latency), matching the
@@ -108,29 +102,17 @@ class ClusterServeSystem : public engine::ServingSystem
     explicit ClusterServeSystem(ClusterConfig cfg);
 
     std::size_t num_gpus() const override;
-    /** The HUB simulator (arrivals, balancer, NICs, chaos engine). */
+    /** The one simulator every pod, NIC and the chaos engine run on. */
     sim::Simulator &simulator() override { return sim_; }
-
-    std::uint64_t total_events_fired() override
-    {
-        std::uint64_t sum = sim_.events_fired();
-        for (const auto &s : pod_sims_)
-            sum += s->events_fired();
-        return sum;
-    }
 
     // introspection
     std::size_t num_pods() const { return pods_.size(); }
     Pod &pod(std::size_t k) { return *pods_.at(k); }
-    /** Pod k's logical-process simulator (the hub for 1-pod clusters). */
-    sim::Simulator &pod_sim(std::size_t k)
-    {
-        return pod_sims_.empty() ? sim_ : *pod_sims_.at(k);
-    }
-    /** The LP scheduler of the last replay (nullptr before replay and
-     *  for single-pod clusters). */
-    const sim::LpScheduler *lp() const { return lp_.get(); }
-    /** Cross-pod control-plane latency == LpScheduler lookahead. */
+    /** Always nullptr: pods share the cluster's one queue. Kept only
+     *  because perfbench/runner.cpp still reads LP counters through it. */
+    const sim::LpScheduler *lp() const { return nullptr; }
+    /** Cross-pod control-plane latency: a parked prefill completion is
+     *  decided exactly this long after it (0 for single-pod clusters). */
     double lookahead() const { return ctl_latency_; }
     const CrossPodBalancer &balancer() const { return balancer_; }
     const hw::Topology &topology() const { return topo_; }
@@ -172,14 +154,14 @@ class ClusterServeSystem : public engine::ServingSystem
     void admit_arrival(workload::Request *r);
 
     /** Pod hook: maybe claim a prefill completion for remote decode.
-     *  Multi-pod: parks the request and posts the decision to the hub
-     *  one control-latency later (decide_offload). */
+     *  Multi-pod: parks the request and schedules the decision one
+     *  control latency later (decide_offload). */
     bool maybe_offload(Pod &src, workload::Request *r);
-    /** Hub side of the offload: scan remote pressure, ship the KV over
+    /** The offload decision: scan remote pressure, ship the KV over
      *  the NIC or fall back to the pod-local hand-off. */
     void decide_offload(std::size_t k, workload::Request *r,
                         std::uint32_t inc);
-    /** on_finished bookkeeping (balancer release) on the hub timeline. */
+    /** on_finished bookkeeping (balancer release). */
     void retire_finished(workload::Request *r);
     /** Pod hook: re-home a victim whose pod is fully down. */
     bool maybe_redispatch_remote(Pod &src, workload::Request *r);
@@ -197,41 +179,16 @@ class ClusterServeSystem : public engine::ServingSystem
      *  that is reused across admissions. */
     const std::vector<bool> &live_pods();
 
-    /** Run @p fn on the hub timeline: at once during a hub phase (or
-     *  without LPs), else as a zero-delay message at pod @p k's clock —
-     *  mid-window the hub clock trails the pod's. */
-    template <class Fn>
-    void to_hub(std::size_t k, Fn &&fn)
-    {
-        if (!lp_ || lp_->in_hub_phase())
-            fn();
-        else
-            lp_->post(pod_sims_[k]->now(), std::forward<Fn>(fn));
-    }
-
     /** Cluster-level telemetry: NIC links, ws_cluster_* (multi-pod
      *  only) and ws_ctrl_* families. */
     void wire_cluster_telemetry(obs::Telemetry &t);
 
     ClusterConfig cfg_;
-    sim::Simulator sim_; ///< hub LP: arrivals, balancer, NICs, faults
+    sim::Simulator sim_; ///< the one queue: pods, arrivals, NICs, faults
     hw::Topology topo_; ///< cluster-wide (NIC links); pods own islands
-    /** One simulator per pod (multi-pod only; empty = shared path). */
-    std::vector<std::unique_ptr<sim::Simulator>> pod_sims_;
     std::vector<std::unique_ptr<Pod>> pods_;
-    /** Built at replay() start (multi-pod only). */
-    std::unique_ptr<sim::LpScheduler> lp_;
     /** cluster_lookahead_floor(topo_); 0 for single-pod clusters. */
     double ctl_latency_ = 0.0;
-    /** Telemetry sample period, captured by wire() so the LP windows
-     *  never run a pod past a pending sample tick. */
-    double telemetry_tick_ = 0.0;
-    /** Per-pod observability shards (multi-pod, merged in pod order
-     *  at replay end). */
-    obs::TraceRecorder *trace_master_ = nullptr;
-    std::vector<std::unique_ptr<obs::TraceRecorder>> trace_shards_;
-    obs::DecisionJournal *journal_master_ = nullptr;
-    std::vector<std::unique_ptr<obs::DecisionJournal>> journal_shards_;
     /** Egress NIC per node (absent for a single-node cluster). */
     std::vector<std::unique_ptr<hw::SharedChannel>> nics_;
     CrossPodBalancer balancer_;
@@ -251,7 +208,7 @@ class ClusterServeSystem : public engine::ServingSystem
     std::size_t outstanding_ = 0;
     std::uint64_t cross_offloads_ = 0;
     std::uint64_t cross_redispatches_ = 0;
-    /** Replicated control plane on the hub sim (ctrl.replicas >= 2
+    /** Replicated control plane on sim_ (ctrl.replicas >= 2
      *  only; nullptr otherwise so single-leader clusters stay
      *  byte-identical to the historical path). */
     std::unique_ptr<ctrl::ControlPlane> ctrl_;

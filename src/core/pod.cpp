@@ -171,9 +171,7 @@ Pod::wire(const engine::Attachments &a, const std::string &pod_label)
                             backup_->backups_taken());
                     },
                     "Proactive KV backups taken");
-        // The owner's per-pod shard when it set one, else the shared
-        // journal.
-        scheduler_->coordinator().set_journal(journal());
+        scheduler_->coordinator().set_journal(t->journal());
     }
     if (obs::TraceRecorder *rec = a.trace) {
         prefill_->set_trace(rec);
@@ -287,20 +285,8 @@ Pod::take_held_offload(workload::RequestId id)
 void
 Pod::notify_decode_ready(Request *r)
 {
-    if (!faults_)
-        return;
-    if (hooks_.decode_ready)
-        hooks_.decode_ready(*this, r);
-    else
+    if (faults_)
         faults_->note_decode_ready(r);
-}
-
-obs::DecisionJournal *
-Pod::journal() const
-{
-    if (journal_)
-        return journal_;
-    return telemetry_ ? telemetry_->journal() : nullptr;
 }
 
 void
@@ -349,7 +335,8 @@ Pod::redispatch_after_fault(Request *r)
     const bool resumable = backed >= r->prompt_tokens && backed > 0 &&
                            !prefill_->is_down() &&
                            prefill_->blocks().holds(r->id);
-    if (obs::DecisionJournal *jnl = journal()) {
+    if (obs::DecisionJournal *jnl =
+            telemetry_ ? telemetry_->journal() : nullptr) {
         obs::Decision d;
         d.time = sim_.now();
         d.kind = obs::DecisionKind::Redispatch;

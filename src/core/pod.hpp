@@ -47,7 +47,6 @@ namespace windserve::fault {
 class FaultInjector;
 }
 namespace windserve::obs {
-class DecisionJournal;
 class Telemetry;
 }
 
@@ -109,16 +108,6 @@ struct PodHooks {
     /** The pod's prefill instance crashed: sweep cross-pod transfers. */
     std::function<void(Pod &, std::vector<workload::Request *> &)>
         on_prefill_crash;
-    /**
-     * A request reached a decode queue (or finished) — the chaos
-     * engine's recovery-window close. Installed by owners whose fault
-     * injector lives on a different simulator than the pod (multi-pod
-     * clusters route the notification through the hub's message
-     * channel); when absent the pod calls
-     * FaultInjector::note_decode_ready() directly. Only invoked while
-     * a fault injector is wired.
-     */
-    std::function<void(Pod &, workload::Request *)> decode_ready;
 };
 
 /** See file comment. */
@@ -195,16 +184,6 @@ class Pod
      */
     void wire(const engine::Attachments &a, const std::string &pod_label);
 
-    /**
-     * Route this pod's decision-journal entries (dispatch decisions,
-     * post-fault re-dispatches) into @p j instead of the telemetry's
-     * shared journal. A pod on its own logical process keeps a private
-     * shard on its own timebase; the owner merges the shards back into
-     * the shared journal at end of replay in a fixed order. Call
-     * before wire().
-     */
-    void set_journal_shard(obs::DecisionJournal *j) { journal_ = j; }
-
     // ---- introspection ----
 
     engine::Instance &prefill_instance() { return *prefill_; }
@@ -225,7 +204,6 @@ class Pod
     void on_finished(workload::Request *r);
     void finish_prefill_only(engine::Instance &inst, workload::Request *r);
     void notify_decode_ready(workload::Request *r);
-    obs::DecisionJournal *journal() const;
 
     sim::Simulator &sim_;
     PodHooks hooks_;
@@ -243,7 +221,6 @@ class Pod
     audit::SimAuditor *audit_ = nullptr;
     fault::FaultInjector *faults_ = nullptr;
     obs::Telemetry *telemetry_ = nullptr;
-    obs::DecisionJournal *journal_ = nullptr; ///< per-pod shard override
     /** Requests whose prefill KV copy is in flight — invisible to both
      *  instances' queues, so a prefill crash must sweep them here.
      *  Ordered map: the crash hook iterates it. */

@@ -3,7 +3,7 @@
  * Replicated control plane: the global scheduler as a Raft-shaped
  * replicated state machine.
  *
- * N scheduler replicas run as actors on the owning cluster's hub
+ * N scheduler replicas run as actors on the owning cluster's
  * simulator. Each replica has an ingress SharedChannel ("ctrl/<k>")
  * modeling its NIC receive path; every protocol message (RequestVote,
  * AppendEntries and their replies) is a timed transfer on the
@@ -100,7 +100,7 @@ class ControlPlane
     ControlPlane &operator=(const ControlPlane &) = delete;
 
     void set_audit(audit::SimAuditor *a) { audit_ = a; }
-    /** Failover decisions are journaled here (hub-thread only). */
+    /** Failover decisions are journaled here. */
     void set_journal(obs::DecisionJournal *j) { journal_ = j; }
 
     /** Arm the election timers; call once at the start of replay. */
@@ -168,7 +168,7 @@ class ControlPlane
         std::uint64_t appended_term = 0;
     };
 
-    /** One scheduler replica (sim actor on the hub simulator). */
+    /** One scheduler replica (sim actor on the cluster's simulator). */
     struct Replica {
         Replica(std::size_t id, std::size_t n) : elect(id, n) {}
         LeaderElection elect;

@@ -100,14 +100,12 @@ class ServingSystem
     /** GPUs this deployment occupies (for per-GPU rate normalisation). */
     virtual std::size_t num_gpus() const = 0;
 
-    /** The simulation kernel this deployment runs on. For partitioned
-     *  systems (sim::LpScheduler) this is the HUB simulator. */
+    /** The simulation kernel this deployment runs on: one event queue
+     *  for every component, pods of a cluster included. */
     virtual sim::Simulator &simulator() = 0;
 
-    /** Events fired across ALL of the run's simulators — equal to
-     *  simulator().events_fired() except for partitioned systems,
-     *  which add their logical processes' queues. */
-    virtual std::uint64_t total_events_fired();
+    /** Events the run has fired: simulator().events_fired(). */
+    std::uint64_t total_events_fired();
 
     /** The attached recorder, or nullptr when tracing is off. */
     obs::TraceRecorder *trace() { return trace_.get(); }

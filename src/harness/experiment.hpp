@@ -128,8 +128,8 @@ struct ExperimentResult {
     std::string system_name;
     double per_gpu_rate = 0.0;
     metrics::RunMetrics metrics;
-    /** Events fired across every simulator of the run (hub + logical
-     *  processes) — thread-count invariant by the engine's contract. */
+    /** Events the run fired — thread-count invariant by the engine's
+     *  contract. */
     std::uint64_t events_fired = 0;
     // system-internal counters
     std::uint64_t dispatches = 0;

@@ -1,27 +1,8 @@
 #include "obs/decision_journal.hpp"
 
-#include <algorithm>
 #include <cstdio>
 
 namespace windserve::obs {
-
-void
-DecisionJournal::merge_shards(const std::vector<DecisionJournal *> &shards)
-{
-    // Stable sort on time alone == a k-way merge with (existing
-    // entries, shard 0, shard 1, ...) as the tie-break, because every
-    // source is individually monotone in time.
-    for (DecisionJournal *s : shards) {
-        entries_.reserve(entries_.size() + s->entries_.size());
-        for (Decision &d : s->entries_)
-            entries_.push_back(std::move(d));
-        s->entries_.clear();
-    }
-    std::stable_sort(entries_.begin(), entries_.end(),
-                     [](const Decision &a, const Decision &b) {
-                         return a.time < b.time;
-                     });
-}
 
 const char *
 to_string(DecisionKind k)

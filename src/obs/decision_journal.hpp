@@ -64,17 +64,6 @@ class DecisionJournal
 
     void record(Decision d) { entries_.push_back(std::move(d)); }
 
-    /**
-     * Merge per-pod journal shards (each internally in nondecreasing
-     * time order — one logical process appends monotonically) into
-     * this journal, restoring global time order with shard index as
-     * the tie-break. Used by partitioned systems at end of replay:
-     * each pod journals into a private shard on its own timebase, and
-     * the merge fixes one global order, so the journal is a pure
-     * function of (config, workload). Shards are drained.
-     */
-    void merge_shards(const std::vector<DecisionJournal *> &shards);
-
     const std::vector<Decision> &entries() const { return entries_; }
     std::size_t size() const { return entries_.size(); }
 

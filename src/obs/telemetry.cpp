@@ -33,13 +33,6 @@ Telemetry::arm(sim::Simulator &sim)
 }
 
 void
-Telemetry::arm_lp(sim::Simulator &sim)
-{
-    if (cfg_.self_profile)
-        sim.set_profiler(&profiler_);
-}
-
-void
 Telemetry::on_batch(double t)
 {
     // Emit every tick strictly before the upcoming batch: at tick

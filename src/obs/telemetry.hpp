@@ -78,18 +78,10 @@ class Telemetry
      * Hook into @p sim: installs the batch-boundary sampler and (if
      * configured) the event-pump profiler. Call after every instrument
      * is registered and before the replay schedules its first event.
+     * A run has one simulator, cluster pods included, so both see
+     * every event.
      */
     void arm(sim::Simulator &sim);
-
-    /**
-     * Attach only the event-pump self-profiler (if configured) to a
-     * logical process's simulator. Partitioned systems (sim::LpScheduler)
-     * call this for every LP kernel so pod events are attributed too.
-     * The batch-boundary sampler stays on the hub simulator arm() was
-     * given: metric sampling must see a globally consistent state,
-     * which only hub batches and window boundaries guarantee.
-     */
-    void arm_lp(sim::Simulator &sim);
 
     /**
      * End-of-run flush: emit the remaining sample ticks up to

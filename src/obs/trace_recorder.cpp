@@ -223,25 +223,6 @@ TraceRecorder::record_request_lifecycle(const workload::Request &r)
     }
 }
 
-void
-TraceRecorder::absorb_shard(TraceRecorder &shard)
-{
-    events_.reserve(events_.size() + shard.events_.size());
-    for (TraceEvent &e : shard.events_) {
-        if (e.pid != 0) {
-            const std::string &proc = shard.processes_[e.pid - 1];
-            std::uint32_t pid = intern_pid(proc);
-            if (e.tid != 0) {
-                const Track &trk = shard.tracks_[e.tid - 1];
-                e.tid = intern_tid(pid, trk.name);
-            }
-            e.pid = pid;
-        }
-        events_.push_back(std::move(e));
-    }
-    shard.events_.clear();
-}
-
 std::size_t
 TraceRecorder::count(Category cat) const
 {

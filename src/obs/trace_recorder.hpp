@@ -86,19 +86,6 @@ class TraceRecorder
      */
     void record_request_lifecycle(const workload::Request &r);
 
-    /**
-     * Move every event recorded in @p shard into this recorder,
-     * re-interning process/track names into this recorder's tables
-     * (ids differ across recorders). Used by partitioned systems
-     * (sim::LpScheduler): each logical process records into a private
-     * shard on its own clock, and the owner absorbs the shards in a
-     * fixed order at end of replay — so the merged trace is a pure
-     * function of (config, workload). Events are appended in shard
-     * order (the Chrome trace format does not require global ts
-     * order); @p shard is left empty.
-     */
-    void absorb_shard(TraceRecorder &shard);
-
     // ------------------------------------------------------------------
     // introspection & export
     // ------------------------------------------------------------------

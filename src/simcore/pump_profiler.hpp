@@ -17,10 +17,8 @@
  * and are inherently non-deterministic; event counts and shares are a
  * pure function of the simulation. Exporters that need byte-identical
  * output across runs must use the count columns only (see
- * obs::Telemetry::profile_table). A partitioned run (lp.hpp) shares one
- * profiler between the hub and every LP simulator; all of them fire on
- * the calling thread, so ids are dense in deterministic first-intern
- * order.
+ * obs::Telemetry::profile_table). A run fires on the calling thread,
+ * so ids are dense in deterministic first-intern order.
  *
  * Thread safety: none. A profiler belongs to one run, and a run
  * executes on one thread; sweeps running cells in parallel give every

@@ -29,21 +29,6 @@ Simulator::run_until(SimTime horizon)
     return now_;
 }
 
-std::uint64_t
-Simulator::run_window(SimTime excl, SimTime incl)
-{
-    std::uint64_t fired = 0;
-    while (!queue_.empty()) {
-        const SimTime next = queue_.next_time();
-        if (!(next < excl || next <= incl))
-            break;
-        now_ = next;
-        fired += queue_.run_batch(now_);
-    }
-    fired_ += fired;
-    return fired;
-}
-
 bool
 Simulator::step()
 {

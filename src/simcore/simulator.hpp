@@ -79,40 +79,6 @@ class Simulator
      */
     SimTime run_until(SimTime horizon);
 
-    /**
-     * Drain one conservative-lookahead window (see lp.hpp): fire events
-     * while the next timestamp is strictly below @p excl, or at most
-     * @p incl (the window may include one inclusive boundary point, used
-     * for tick clamping and zero-lookahead progress). The batch hook is
-     * NOT invoked — telemetry ticks are driven by the LP scheduler via
-     * notify_batch() so the hub hook sees every window boundary exactly
-     * once. @return the number of events fired.
-     */
-    std::uint64_t run_window(SimTime excl, SimTime incl);
-
-    /**
-     * Advance the clock to @p t without firing anything, clamped so it
-     * never moves backward and never passes the next pending event.
-     * Used by the LP scheduler to publish window boundaries as the LP's
-     * clock value between bursts of local events. @return the new now().
-     */
-    SimTime advance_to(SimTime t)
-    {
-        if (!queue_.empty())
-            t = std::min(t, queue_.next_time());
-        now_ = std::max(now_, t);
-        return now_;
-    }
-
-    /** Invoke the batch hook (if any) with timestamp @p t. The telemetry
-     *  hook is idempotent for repeated calls at the same t; the LP
-     *  scheduler uses this to emit ticks at window boundaries. */
-    void notify_batch(SimTime t)
-    {
-        if (batch_hook_)
-            batch_hook_(t);
-    }
-
     /** Fire at most one event. @return false if the queue was empty. */
     bool step();
 

@@ -1,20 +1,19 @@
 /**
  * @file
- * Unit suite for the conservative-lookahead LP engine (sim::LpScheduler
- * + core::cluster_lookahead_floor): lookahead-floor derivation from
- * topology latencies, window-bound computation, the LP clock-advance
- * bound, cross-LP (time, seq) tie-break determinism, the zero-lookahead
- * fallback to lockstep pumping, a chaos campaign that kills pods
- * mid-offload and replays the same seed, a 2-node golden snapshot, and
- * the rejection of multi-threaded run requests.
+ * Cross-pod timing of a multi-pod cluster on its one event queue: the
+ * lookahead floor derived from topology latencies, the decode offload
+ * decided exactly one lookahead after its prefill completion, a chaos
+ * campaign that kills pods mid-offload and replays the same seed, a
+ * 2-node golden snapshot, and the rejection of multi-threaded run
+ * requests.
  */
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
-#include <limits>
 #include <map>
+#include <regex>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -22,17 +21,10 @@
 #include "core/cluster_system.hpp"
 #include "harness/fuzz.hpp"
 #include "hw/topology.hpp"
-#include "simcore/lp.hpp"
+#include "obs/trace_recorder.hpp"
 
 namespace hs = windserve::harness;
 using windserve::core::cluster_lookahead_floor;
-using windserve::sim::LpScheduler;
-using windserve::sim::SimTime;
-using windserve::sim::Simulator;
-
-namespace {
-constexpr SimTime kInf = std::numeric_limits<SimTime>::infinity();
-} // namespace
 
 // ---------------------------------------------------------------------
 // Lookahead floor from topology latencies
@@ -96,173 +88,133 @@ TEST(LookaheadFloor, ClusterSystemAdoptsTheFloorAsControlLatency)
 }
 
 // ---------------------------------------------------------------------
-// Window-bound computation (the LP clock-advance bound)
+// Cross-pod control latency on one event queue
 // ---------------------------------------------------------------------
 
-TEST(LpWindow, PlainWindowExtendsOneQuantum)
+namespace {
+
+/** tid -> track name, read back from the trace's thread_name rows. */
+std::map<std::uint32_t, std::string>
+track_names(const windserve::obs::TraceRecorder &rec)
 {
-    auto w = LpScheduler::compute_window(1.0, 0.5, kInf, 0.0, 100.0);
-    EXPECT_DOUBLE_EQ(w.excl, 1.5);
-    EXPECT_DOUBLE_EQ(w.incl, 1.0);
+    static const std::regex row(
+        R"re(\{"ph":"M","name":"thread_name","pid":\d+,"tid":(\d+),"args":\{"name":"([^"]*)"\}\})re");
+    std::map<std::uint32_t, std::string> names;
+    const std::string json = rec.chrome_json();
+    for (std::sregex_iterator it(json.begin(), json.end(), row), end;
+         it != end; ++it)
+        names[static_cast<std::uint32_t>(std::stoul((*it)[1]))] =
+            (*it)[2];
+    return names;
 }
 
-TEST(LpWindow, NeverRunsPastAPendingHubEvent)
+double
+bytes_arg(const windserve::obs::TraceEvent &e)
 {
-    auto w = LpScheduler::compute_window(1.0, 0.5, 1.2, 0.0, 100.0);
-    EXPECT_DOUBLE_EQ(w.excl, 1.2);
-    EXPECT_DOUBLE_EQ(w.incl, 1.0);
+    for (const auto &a : e.args)
+        if (a.key == "bytes")
+            return std::strtod(a.value.c_str(), nullptr);
+    return -1.0;
 }
 
-TEST(LpWindow, NeverRunsPastAPendingTelemetryTick)
+} // namespace
+
+// A prefill completion parked for a cross-pod offload is decided
+// exactly lookahead() after it, against every pod's state at that
+// instant: an accepted offload submits its NIC copy then, a refused one
+// starts its pod-local prefill->decode copy then. Both are read back
+// from the trace. A NIC span starts at its submit time (the link is
+// processor-sharing); a p2d span does too whenever the FIFO link was
+// idle, i.e. it starts after the previous span on its track ended.
+TEST(CrossPodLatency, ParkedCompletionIsDecidedExactlyOneLookaheadLater)
 {
-    // Next tick at 1.25 truncates the window inclusively: events at
-    // exactly the tick still belong to this window, events past it
-    // must wait for the sample.
-    auto w = LpScheduler::compute_window(1.1, 0.5, kInf, 0.25, 100.0);
-    EXPECT_DOUBLE_EQ(w.excl, 1.25);
-    EXPECT_DOUBLE_EQ(w.incl, 1.25);
-}
+    hs::ExperimentConfig ec;
+    ec.system = hs::SystemKind::WindServe;
+    ec.num_nodes = 2;
+    ec.per_gpu_rate = 2.5;
+    ec.num_requests = 300;
+    ec.seed = 4242;
+    ec.offload_highwater = 0.10;
+    ec.offload_lowwater = 0.08;
+    // A tiny KV pool keeps both pods near the watermarks, so parked
+    // completions are both accepted and refused.
+    ec.kv_capacity_tokens_override = 2560;
+    auto system = hs::make_system(ec);
+    auto *cs =
+        dynamic_cast<windserve::core::ClusterServeSystem *>(system.get());
+    ASSERT_NE(cs, nullptr);
+    ASSERT_EQ(cs->num_pods(), 2u);
+    windserve::engine::RunOptions opts;
+    opts.slo = ec.scenario.slo;
+    opts.horizon = ec.horizon;
+    opts.tracing = true;
+    auto run = system->run(hs::make_trace(ec), opts);
 
-TEST(LpWindow, TickLandingOnT0IsItsOwnWindow)
-{
-    auto w = LpScheduler::compute_window(1.0, 0.5, kInf, 0.25, 100.0);
-    EXPECT_DOUBLE_EQ(w.excl, 1.0);
-    EXPECT_DOUBLE_EQ(w.incl, 1.0);
-}
-
-TEST(LpWindow, HorizonTruncatesInclusively)
-{
-    auto w = LpScheduler::compute_window(1.0, 0.5, kInf, 0.0, 1.3);
-    EXPECT_DOUBLE_EQ(w.excl, 1.3);
-    EXPECT_DOUBLE_EQ(w.incl, 1.3);
-}
-
-TEST(LpWindow, ZeroQuantumDegeneratesToLockstep)
-{
-    // W = 0: the window still covers t0 itself (progress guarantee),
-    // and nothing else — conservative sequential pumping.
-    auto w = LpScheduler::compute_window(2.0, 0.0, kInf, 0.0, 100.0);
-    EXPECT_DOUBLE_EQ(w.excl, 2.0);
-    EXPECT_DOUBLE_EQ(w.incl, 2.0);
-}
-
-// ---------------------------------------------------------------------
-// LP clock-advance bound and cross-LP tie-break determinism
-// ---------------------------------------------------------------------
-
-// A hub event must never observe an LP clock past the hub's own
-// timestamp, and an LP event past the hub event's time must not have
-// fired yet — the conservative bound, observable at the hub phase.
-TEST(LpSync, HubPhaseSeesParkedLpClocks)
-{
-    Simulator hub;
-    Simulator lp0, lp1;
-    LpScheduler::Config cfg;
-    // A 1s quantum puts every event below into its own window.
-    cfg.lookahead = 1.0;
-    LpScheduler sched(hub, cfg);
-    sched.add_lp(lp0);
-    sched.add_lp(lp1);
-
-    std::vector<std::string> order;
-    lp0.schedule_at(0.5, [&] { order.push_back("lp0@0.5"); });
-    lp0.schedule_at(5.0, [&] { order.push_back("lp0@5.0"); });
-    lp1.schedule_at(3.0, [&] { order.push_back("lp1@3.0"); });
-    hub.schedule_at(1.0, [&] {
-        order.push_back("hub@1.0");
-        EXPECT_TRUE(sched.in_hub_phase());
-        // Both LPs are parked exactly at the hub timestamp: lp0's next
-        // local event is at 5.0, lp1's at 3.0, so neither clock may
-        // have passed 1.0 and neither future event may have fired.
-        EXPECT_DOUBLE_EQ(lp0.now(), 1.0);
-        EXPECT_DOUBLE_EQ(lp1.now(), 1.0);
-    });
-
-    SimTime end = sched.run_until(100.0);
-    EXPECT_FALSE(sched.in_hub_phase());
-    ASSERT_EQ(order.size(), 4u);
-    EXPECT_EQ(order[0], "lp0@0.5");
-    EXPECT_EQ(order[1], "hub@1.0");
-    EXPECT_EQ(order[2], "lp1@3.0");
-    EXPECT_EQ(order[3], "lp0@5.0");
-    // Every clock settles on the global last-event time.
-    EXPECT_DOUBLE_EQ(end, 5.0);
-    EXPECT_DOUBLE_EQ(hub.now(), 5.0);
-    EXPECT_DOUBLE_EQ(lp0.now(), 5.0);
-    EXPECT_DOUBLE_EQ(lp1.now(), 5.0);
-}
-
-// Messages posted at the SAME timestamp from different LPs are
-// delivered in (LP index, post order): windows run the LPs in index
-// order, and the heap's insertion-seq tie-break makes that a total
-// order.
-TEST(LpSync, SameTimeMessagesDeliverInLpIndexThenPostOrder)
-{
-    Simulator hub;
-    Simulator lp0, lp1, lp2;
-    LpScheduler::Config cfg;
-    cfg.lookahead = 1.0;
-    LpScheduler sched(hub, cfg);
-    sched.add_lp(lp0);
-    sched.add_lp(lp1);
-    sched.add_lp(lp2);
-
-    std::vector<std::string> order;
-    auto sender = [&](Simulator &sim, std::size_t idx) {
-        sim.schedule_at(0.25, [&, idx] {
-            // Two messages per LP, all for the identical instant.
-            sched.post(2.0, [&order, idx] {
-                order.push_back("lp" + std::to_string(idx) + ".a");
-            });
-            sched.post(2.0, [&order, idx] {
-                order.push_back("lp" + std::to_string(idx) + ".b");
-            });
-        });
+    const double lookahead = cs->lookahead();
+    ASSERT_GT(lookahead, 0.0);
+    const windserve::transfer::KvTransferManager &xfer =
+        cs->pod(0).transfer();
+    ASSERT_EQ(xfer.config().policy,
+              windserve::transfer::TransferPolicy::Overlapped);
+    // Prefill completion times, keyed by the bytes each copy moves: the
+    // full prompt KV over the NIC, the overlap tail over p2d.
+    std::multimap<double, double> nic_copy, p2d_copy;
+    for (const auto &r : run.requests) {
+        if (r.first_token_time == windserve::workload::kNoTime)
+            continue;
+        double bytes =
+            xfer.bytes_for_tokens(static_cast<double>(r.prompt_tokens));
+        nic_copy.emplace(bytes, r.first_token_time);
+        bytes *= xfer.config().overlap_tail_fraction;
+        p2d_copy.emplace(bytes, r.first_token_time);
+    }
+    auto started_at = [](const std::multimap<double, double> &copies,
+                         double bytes, double ts, double delay) {
+        auto [lo, hi] = copies.equal_range(bytes);
+        for (auto it = lo; it != hi; ++it)
+            if (it->second + delay == ts)
+                return true;
+        return false;
     };
-    // Register senders in reverse so delivery order provably comes
-    // from the LP INDEX, not scheduling happenstance.
-    sender(lp2, 2);
-    sender(lp1, 1);
-    sender(lp0, 0);
 
-    sched.run_until(10.0);
-    ASSERT_EQ(order.size(), 6u);
-    EXPECT_EQ(order[0], "lp0.a");
-    EXPECT_EQ(order[1], "lp0.b");
-    EXPECT_EQ(order[2], "lp1.a");
-    EXPECT_EQ(order[3], "lp1.b");
-    EXPECT_EQ(order[4], "lp2.a");
-    EXPECT_EQ(order[5], "lp2.b");
-    EXPECT_EQ(sched.messages_posted(), 6u);
-}
-
-// Zero lookahead + zero window quantum = lockstep pumping: every
-// window fires exactly one timestamp, so the global firing order is
-// the merged time order.
-TEST(LpSync, ZeroLookaheadFallsBackToSequentialPumping)
-{
-    Simulator hub;
-    Simulator lp0, lp1;
-    LpScheduler::Config cfg;
-    cfg.lookahead = 0.0;
-    cfg.window = 0.0;
-    LpScheduler sched(hub, cfg);
-    sched.add_lp(lp0);
-    sched.add_lp(lp1);
-
-    std::vector<double> fired;
-    for (double t : {0.1, 0.3, 0.5})
-        lp0.schedule_at(t, [&fired, t] { fired.push_back(t); });
-    for (double t : {0.2, 0.4})
-        lp1.schedule_at(t, [&fired, t] { fired.push_back(t); });
-
-    sched.run_until(1.0);
-    ASSERT_EQ(fired.size(), 5u);
-    EXPECT_EQ(fired, (std::vector<double>{0.1, 0.2, 0.3, 0.4, 0.5}));
-    // One lockstep window per distinct timestamp, no hub phases (the
-    // hub never holds the minimum here).
-    EXPECT_EQ(sched.windows(), 5u);
-    EXPECT_EQ(sched.effective_window(), 0.0);
+    const auto names = track_names(*cs->trace());
+    std::map<std::uint32_t, double> track_free; // p2d: last span end
+    std::uint64_t accepted = 0, refused = 0, idle_p2d = 0;
+    for (const auto &e : cs->trace()->events()) {
+        if (e.phase != 'X' || e.name != "xfer" || !names.count(e.tid))
+            continue;
+        const std::string &track = names.at(e.tid);
+        const double bytes = bytes_arg(e);
+        if (track.starts_with("nic/")) {
+            ++accepted;
+            EXPECT_TRUE(started_at(nic_copy, bytes, e.ts, lookahead))
+                << track << " copy of " << bytes << " B submitted at "
+                << e.ts << " is not one lookahead after a prefill";
+            continue;
+        }
+        if (!track.ends_with("kv-p2d"))
+            continue;
+        auto prev = track_free.find(e.tid);
+        const bool idle = prev == track_free.end() ||
+                          e.ts > prev->second + 1e-9;
+        track_free[e.tid] = e.ts + e.dur;
+        if (!idle)
+            continue; // queued behind the previous copy
+        ++idle_p2d;
+        if (started_at(p2d_copy, bytes, e.ts, lookahead)) {
+            ++refused;
+            continue;
+        }
+        EXPECT_TRUE(started_at(p2d_copy, bytes, e.ts, 0.0))
+            << track << " copy of " << bytes << " B started at " << e.ts
+            << ": neither at a prefill completion nor one lookahead "
+               "after one";
+    }
+    EXPECT_EQ(accepted, cs->cross_offloads());
+    // Non-vacuous: both outcomes of a parked completion occurred.
+    EXPECT_GT(accepted, 0u);
+    EXPECT_GT(refused, 0u);
+    EXPECT_GT(idle_p2d, refused);
 }
 
 // Runs execute on the calling thread; asking for more is an error, not
