@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <sstream>
 #include <unordered_set>
 
@@ -14,9 +15,80 @@ using workload::Request;
 using workload::RequestId;
 using workload::RequestState;
 
-SimAuditor::SimAuditor(const sim::Simulator &sim, AuditConfig cfg)
-    : sim_(sim), cfg_(std::move(cfg)), last_time_(sim.now())
-{}
+SimAuditor::SimAuditor(const sim::Simulator &sim, obs::Probe &probe,
+                       AuditConfig cfg)
+    : sim_(sim), probe_(probe), cfg_(std::move(cfg)), last_time_(sim.now())
+{
+    probe.subscribe(*this, kKinds);
+}
+
+void
+SimAuditor::on_record(const obs::Record &r)
+{
+    using obs::ProbeKind;
+    switch (r.kind) {
+      case ProbeKind::KvAlloc:
+      case ProbeKind::KvGrow:
+      case ProbeKind::KvRelease:
+        on_kv(r);
+        break;
+      case ProbeKind::SwapOut:
+      case ProbeKind::SwapIn:
+      case ProbeKind::SwapDrop:
+        on_swap(r);
+        break;
+      case ProbeKind::XferSubmit:
+      case ProbeKind::XferAppend:
+      case ProbeKind::XferComplete:
+        on_transfer(r);
+        break;
+      case ProbeKind::GroupCheck:
+        on_decode_group(r.owner, r.as<obs::GroupView>());
+        break;
+      case ProbeKind::Wiped:
+        on_instance_crash(r.owner, r.as<obs::Wipe>());
+        break;
+      case ProbeKind::Transition: {
+        const obs::StateChange &c = r.as<obs::StateChange>();
+        tick();
+        if (!edge_allowed(c.req->state, c.to)) {
+            fail("lifecycle-transition", c.req->id, "illegal edge ",
+                 workload::to_string(c.req->state), " -> ",
+                 workload::to_string(c.to));
+        }
+        break;
+      }
+      case ProbeKind::Dispatch: {
+        const obs::DispatchOp &d = r.as<obs::DispatchOp>();
+        if (!d.to_decode)
+            break;
+        tick();
+        if (d.slots < d.prompt_tokens) {
+            fail("dispatch-slots", r.id, "dispatched ", d.prompt_tokens,
+                 " prompt tokens into ", d.slots, " available slots");
+        }
+        break;
+      }
+      case ProbeKind::Reschedule: {
+        const obs::RescheduleOp &op = r.as<obs::RescheduleOp>();
+        if (!op.started)
+            break;
+        tick();
+        if (op.occupancy + 1e-9 < op.trigger) {
+            fail("reschedule-trigger", r.id, "rescheduled at occupancy ",
+                 op.occupancy, " below trigger ", op.trigger);
+        }
+        break;
+      }
+      case ProbeKind::Failover:
+      case ProbeKind::Commit:
+      case ProbeKind::Apply:
+        on_ctrl(r);
+        break;
+      default:
+        break;
+    }
+}
 
 void
 SimAuditor::tick()
@@ -24,9 +96,7 @@ SimAuditor::tick()
     ++events_;
     double now = sim_.now();
     if (now + cfg_.time_tolerance < last_time_) {
-        std::ostringstream os;
-        os << "event at t=" << now << " after t=" << last_time_;
-        violate("monotonic-time", 0, os.str());
+        fail("monotonic-time", 0, "event at t=", now, " after t=", last_time_);
     }
     last_time_ = std::max(last_time_, now);
 }
@@ -56,109 +126,64 @@ SimAuditor::violate(std::string invariant, RequestId req, std::string detail)
 // ---------------------------------------------------------------------
 
 void
-SimAuditor::on_kv_alloc(const std::string &owner, RequestId id,
-                        std::size_t tokens, std::size_t blocks, bool applied,
-                        std::size_t mgr_used, std::size_t mgr_total)
+SimAuditor::on_kv(const obs::Record &r)
 {
     tick();
-    KvLedger &led = kv_[owner];
-    if (led.used != mgr_used) {
-        std::ostringstream os;
-        os << owner << ": shadow used " << led.used
-           << " != manager used " << mgr_used;
-        violate("kv-conservation", id, os.str());
+    const obs::KvOp &op = r.as<obs::KvOp>();
+    const std::string &owner = name(r.owner);
+    const RequestId id = r.id;
+    KvLedger &led = ledger(kv_, r.owner);
+    if (led.used != op.used) {
+        fail("kv-conservation", id, owner, ": shadow used ", led.used,
+             " != manager used ", op.used);
     }
-    if (led.blocks.count(id)) {
-        std::ostringstream os;
-        os << owner << ": allocate of " << tokens
-           << " tokens while already holding " << led.blocks[id]
-           << " blocks";
-        violate("kv-double-alloc", id, os.str());
-        return;
-    }
-    if (!applied)
-        return; // rejected for capacity; nothing changed
-    led.blocks[id] = blocks;
-    led.used += blocks;
-    if (led.used > mgr_total) {
-        std::ostringstream os;
-        os << owner << ": " << led.used << " blocks allocated of "
-           << mgr_total;
-        violate("kv-overcommit", id, os.str());
-    }
-}
-
-void
-SimAuditor::on_kv_grow(const std::string &owner, RequestId id,
-                       std::size_t new_tokens, std::size_t new_blocks,
-                       bool applied, std::size_t mgr_used,
-                       std::size_t mgr_total)
-{
-    tick();
-    KvLedger &led = kv_[owner];
-    if (led.used != mgr_used) {
-        std::ostringstream os;
-        os << owner << ": shadow used " << led.used
-           << " != manager used " << mgr_used;
-        violate("kv-conservation", id, os.str());
-    }
-    auto it = led.blocks.find(id);
-    if (it == led.blocks.end()) {
-        std::ostringstream os;
-        os << owner << ": grow to " << new_tokens
-           << " tokens of an id holding nothing";
-        violate("kv-grow-unknown", id, os.str());
-        return;
-    }
-    if (new_blocks < it->second) {
-        std::ostringstream os;
-        os << owner << ": grow shrank " << it->second << " -> "
-           << new_blocks << " blocks";
-        violate("kv-shrink", id, os.str());
-        return;
-    }
-    if (!applied)
-        return;
-    led.used += new_blocks - it->second;
-    it->second = new_blocks;
-    if (led.used > mgr_total) {
-        std::ostringstream os;
-        os << owner << ": " << led.used << " blocks allocated of "
-           << mgr_total;
-        violate("kv-overcommit", id, os.str());
-    }
-}
-
-void
-SimAuditor::on_kv_release(const std::string &owner, RequestId id,
-                          std::size_t blocks_freed, bool known,
-                          std::size_t mgr_used)
-{
-    tick();
-    KvLedger &led = kv_[owner];
-    if (led.used != mgr_used) {
-        std::ostringstream os;
-        os << owner << ": shadow used " << led.used
-           << " != manager used " << mgr_used;
-        violate("kv-conservation", id, os.str());
-    }
-    auto it = led.blocks.find(id);
-    if (it == led.blocks.end() || !known) {
-        std::ostringstream os;
-        os << owner << ": release of an id holding nothing (shadow "
-           << (it == led.blocks.end() ? "agrees" : "disagrees") << ")";
-        violate("kv-double-free", id, os.str());
-        if (it == led.blocks.end())
+    if (r.kind == obs::ProbeKind::KvAlloc) {
+        if (led.blocks.count(id)) {
+            fail("kv-double-alloc", id, owner, ": allocate of ", op.tokens,
+                 " tokens while already holding ", led.blocks[id], " blocks");
             return;
+        }
+        if (!op.applied)
+            return; // rejected for capacity; nothing changed
+        led.blocks[id] = op.blocks;
+        led.used += op.blocks;
+    } else if (r.kind == obs::ProbeKind::KvGrow) {
+        auto it = led.blocks.find(id);
+        if (it == led.blocks.end()) {
+            fail("kv-grow-unknown", id, owner, ": grow to ", op.tokens,
+                 " tokens of an id holding nothing");
+            return;
+        }
+        if (op.blocks < it->second) {
+            fail("kv-shrink", id, owner, ": grow shrank ", it->second, " -> ",
+                 op.blocks, " blocks");
+            return;
+        }
+        if (!op.applied)
+            return;
+        led.used += op.blocks - it->second;
+        it->second = op.blocks;
+    } else {
+        auto it = led.blocks.find(id);
+        if (it == led.blocks.end() || !op.applied) {
+            fail("kv-double-free", id, owner,
+                 ": release of an id holding nothing (shadow ",
+                 (it == led.blocks.end() ? "agrees" : "disagrees"), ")");
+            if (it == led.blocks.end())
+                return;
+        }
+        if (op.applied && it->second != op.blocks) {
+            fail("kv-conservation", id, owner, ": manager freed ", op.blocks,
+                 " blocks, shadow recorded ", it->second);
+        }
+        led.used -= it->second;
+        led.blocks.erase(it);
+        return;
     }
-    if (known && it->second != blocks_freed) {
-        std::ostringstream os;
-        os << owner << ": manager freed " << blocks_freed
-           << " blocks, shadow recorded " << it->second;
-        violate("kv-conservation", id, os.str());
+    if (led.used > op.total) {
+        fail("kv-overcommit", id, owner, ": ", led.used,
+             " blocks allocated of ", op.total);
     }
-    led.used -= it->second;
-    led.blocks.erase(it);
 }
 
 // ---------------------------------------------------------------------
@@ -166,60 +191,42 @@ SimAuditor::on_kv_release(const std::string &owner, RequestId id,
 // ---------------------------------------------------------------------
 
 void
-SimAuditor::on_swap_out(const std::string &owner, RequestId id,
-                        std::size_t tokens, double bytes, bool accepted,
-                        bool already_held, double pool_used,
-                        double pool_capacity)
+SimAuditor::on_swap(const obs::Record &r)
 {
     tick();
-    PoolLedger &led = pools_[owner];
-    if (std::abs(led.used - pool_used) > 1.0) {
-        std::ostringstream os;
-        os << owner << ": shadow pool " << led.used
-           << "B != pool counter " << pool_used << "B";
-        violate("swap-conservation", id, os.str());
+    const obs::PoolOp &op = r.as<obs::PoolOp>();
+    const std::string &owner = name(r.owner);
+    const RequestId id = r.id;
+    PoolLedger &led = ledger(pools_, r.owner);
+    if (std::abs(led.used - op.used) > 1.0) {
+        fail("swap-conservation", id, owner, ": shadow pool ", led.used,
+             "B != pool counter ", op.used, "B");
     }
-    if (already_held || led.bytes.count(id)) {
-        std::ostringstream os;
-        os << owner << ": swap-out of " << tokens
-           << " tokens while already swapped";
-        violate("swap-double-out", id, os.str());
+    if (r.kind != obs::ProbeKind::SwapOut) {
+        auto it = led.bytes.find(id);
+        if (it == led.bytes.end() || !op.applied) {
+            fail("swap-in-unknown", id, owner,
+                 ": swap-in of an id not resident in the pool");
+            if (it == led.bytes.end())
+                return;
+        }
+        led.used -= it->second;
+        led.bytes.erase(it);
         return;
     }
-    if (!accepted)
+    if (op.held || led.bytes.count(id)) {
+        fail("swap-double-out", id, owner, ": swap-out of ", op.tokens,
+             " tokens while already swapped");
+        return;
+    }
+    if (!op.applied)
         return; // pool full; caller must keep the GPU copy
-    led.bytes[id] = bytes;
-    led.used += bytes;
-    if (led.used > pool_capacity + 1.0) {
-        std::ostringstream os;
-        os << owner << ": pool holds " << led.used << "B of "
-           << pool_capacity << "B";
-        violate("swap-overcommit", id, os.str());
+    led.bytes[id] = op.bytes;
+    led.used += op.bytes;
+    if (led.used > op.capacity + 1.0) {
+        fail("swap-overcommit", id, owner, ": pool holds ", led.used, "B of ",
+             op.capacity, "B");
     }
-}
-
-void
-SimAuditor::on_swap_in(const std::string &owner, RequestId id, bool known,
-                       double pool_used)
-{
-    tick();
-    PoolLedger &led = pools_[owner];
-    if (std::abs(led.used - pool_used) > 1.0) {
-        std::ostringstream os;
-        os << owner << ": shadow pool " << led.used
-           << "B != pool counter " << pool_used << "B";
-        violate("swap-conservation", id, os.str());
-    }
-    auto it = led.bytes.find(id);
-    if (it == led.bytes.end() || !known) {
-        std::ostringstream os;
-        os << owner << ": swap-in of an id not resident in the pool";
-        violate("swap-in-unknown", id, os.str());
-        if (it == led.bytes.end())
-            return;
-    }
-    led.used -= it->second;
-    led.bytes.erase(it);
 }
 
 // ---------------------------------------------------------------------
@@ -227,75 +234,58 @@ SimAuditor::on_swap_in(const std::string &owner, RequestId id, bool known,
 // ---------------------------------------------------------------------
 
 void
-SimAuditor::on_transfer_submit(const std::string &chan, std::uint64_t id,
-                               double bytes)
+SimAuditor::on_transfer(const obs::Record &r)
 {
     tick();
-    auto &open = xfers_[chan];
-    if (open.count(id)) {
-        std::ostringstream os;
-        os << chan << ": transfer id " << id << " submitted twice";
-        violate("xfer-duplicate-id", 0, os.str());
+    const obs::LinkOp &op = r.as<obs::LinkOp>();
+    const std::string &chan = name(r.owner);
+    const std::uint64_t id = r.id;
+    XferLedger &open = ledger(xfers_, r.owner);
+    if (r.kind == obs::ProbeKind::XferSubmit) {
+        if (open.count(id)) {
+            fail("xfer-duplicate-id", 0, chan, ": transfer id ", id,
+                 " submitted twice");
+            return;
+        }
+        open[id] = OpenTransfer{op.bytes};
         return;
     }
-    open[id] = OpenTransfer{bytes};
-}
-
-void
-SimAuditor::on_transfer_append(const std::string &chan, std::uint64_t id,
-                               double bytes, bool open)
-{
-    tick();
-    auto &chan_open = xfers_[chan];
-    auto it = chan_open.find(id);
-    if (it == chan_open.end() || !open) {
-        std::ostringstream os;
-        os << chan << ": append of " << bytes << "B to "
-           << (it == chan_open.end() ? "unknown" : "completed")
-           << " transfer id " << id;
-        violate("xfer-append-closed", 0, os.str());
+    auto it = open.find(id);
+    if (r.kind == obs::ProbeKind::XferAppend) {
+        if (it == open.end() || !op.open) {
+            fail("xfer-append-closed", 0, chan, ": append of ", op.bytes,
+                 "B to ", (it == open.end() ? "unknown" : "completed"),
+                 " transfer id ", id);
+            return;
+        }
+        it->second.bytes += op.bytes;
         return;
     }
-    it->second.bytes += bytes;
-}
-
-void
-SimAuditor::on_transfer_complete(const std::string &chan, std::uint64_t id,
-                                 double bytes, double begun, double end,
-                                 double bandwidth, double latency)
-{
-    tick();
-    auto &chan_open = xfers_[chan];
-    auto it = chan_open.find(id);
-    if (it == chan_open.end()) {
-        std::ostringstream os;
-        os << chan << ": completion of unknown transfer id " << id;
-        violate("xfer-unknown-complete", 0, os.str());
+    if (it == open.end()) {
+        fail("xfer-unknown-complete", 0, chan,
+             ": completion of unknown transfer id ", id);
         return;
     }
     // Byte conservation: everything submitted/appended arrives.
+    const double bytes = op.bytes;
     double tracked = it->second.bytes;
     double tol = 1.0 + 1e-9 * std::max(tracked, bytes);
     if (std::abs(tracked - bytes) > tol) {
-        std::ostringstream os;
-        os << chan << ": transfer id " << id << " completed with "
-           << bytes << "B, " << tracked << "B were submitted";
-        violate("xfer-byte-conservation", 0, os.str());
+        fail("xfer-byte-conservation", 0, chan, ": transfer id ", id,
+             " completed with ", bytes, "B, ", tracked, "B were submitted");
     }
     // Link capacity: the wire cannot beat latency + bytes/bandwidth
     // from the moment the transfer occupied the link. Appended bytes
     // only extend the same slot, so the bound stays valid. Both
     // endpoints of the interval come from the channel's clock.
-    double elapsed = end - begun;
-    double min_time = latency + bytes / bandwidth;
+    double elapsed = op.end - op.begun;
+    double min_time = op.latency + bytes / op.bandwidth;
     double ttol = cfg_.time_tolerance + 1e-9 * std::max(elapsed, min_time);
     if (elapsed + ttol < min_time) {
-        std::ostringstream os;
-        os << chan << ": transfer id " << id << " moved " << bytes
-           << "B in " << elapsed << "s, minimum is " << min_time << "s";
-        violate("xfer-capacity", 0, os.str());
+        fail("xfer-capacity", 0, chan, ": transfer id ", id, " moved ", bytes,
+             "B in ", elapsed, "s, minimum is ", min_time, "s");
     }
-    chan_open.erase(it);
+    open.erase(it);
 }
 
 // ---------------------------------------------------------------------
@@ -369,72 +359,27 @@ SimAuditor::edge_allowed(RequestState from, RequestState to) const
 }
 
 void
-SimAuditor::on_transition(Request &r, RequestState to)
+SimAuditor::on_instance_crash(obs::OwnerId id, const obs::Wipe &w)
 {
     tick();
-    if (!edge_allowed(r.state, to)) {
-        std::ostringstream os;
-        os << "illegal edge " << workload::to_string(r.state) << " -> "
-           << workload::to_string(to);
-        violate("lifecycle-transition", r.id, os.str());
-    }
-    r.state = to;
-}
-
-void
-SimAuditor::on_instance_crash(const std::string &owner, std::size_t mgr_used,
-                              double pool_used)
-{
-    tick();
-    KvLedger &led = kv_[owner];
-    if (mgr_used != 0 || led.used != 0 || !led.blocks.empty()) {
-        std::ostringstream os;
-        os << owner << ": post-crash residue — manager " << mgr_used
-           << " blocks, shadow " << led.used << " blocks over "
-           << led.blocks.size() << " holders";
-        violate("crash-kv-leak", 0, os.str());
+    const std::string &owner = name(id);
+    KvLedger &led = ledger(kv_, id);
+    if (w.kv_used != 0 || led.used != 0 || !led.blocks.empty()) {
+        fail("crash-kv-leak", 0, owner, ": post-crash residue — manager ",
+             w.kv_used, " blocks, shadow ", led.used, " blocks over ",
+             led.blocks.size(), " holders");
     }
     led.blocks.clear();
     led.used = 0;
-    PoolLedger &pled = pools_[owner];
-    if (pool_used > 1.0 || pled.used > 1.0 || !pled.bytes.empty()) {
-        std::ostringstream os;
-        os << owner << ": post-crash host-pool residue — pool "
-           << pool_used << "B, shadow " << pled.used << "B over "
-           << pled.bytes.size() << " holders";
-        violate("crash-swap-leak", 0, os.str());
+    PoolLedger &pled = ledger(pools_, id);
+    if (w.pool_used > 1.0 || pled.used > 1.0 || !pled.bytes.empty()) {
+        fail("crash-swap-leak", 0, owner,
+             ": post-crash host-pool residue — pool ", w.pool_used,
+             "B, shadow ",
+             pled.used, "B over ", pled.bytes.size(), " holders");
     }
     pled.bytes.clear();
     pled.used = 0.0;
-}
-
-// ---------------------------------------------------------------------
-// coordinator decisions
-// ---------------------------------------------------------------------
-
-void
-SimAuditor::on_dispatch(RequestId id, std::size_t prompt_tokens,
-                        std::size_t slots)
-{
-    tick();
-    if (slots < prompt_tokens) {
-        std::ostringstream os;
-        os << "dispatched " << prompt_tokens << " prompt tokens into "
-           << slots << " available slots";
-        violate("dispatch-slots", id, os.str());
-    }
-}
-
-void
-SimAuditor::on_reschedule(RequestId id, double occupancy, double trigger)
-{
-    tick();
-    if (occupancy + 1e-9 < trigger) {
-        std::ostringstream os;
-        os << "rescheduled at occupancy " << occupancy
-           << " below trigger " << trigger;
-        violate("reschedule-trigger", id, os.str());
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -442,53 +387,46 @@ SimAuditor::on_reschedule(RequestId id, double occupancy, double trigger)
 // ---------------------------------------------------------------------
 
 void
-SimAuditor::on_ctrl_elected(std::uint64_t term, std::size_t replica)
+SimAuditor::on_ctrl(const obs::Record &r)
 {
     tick();
-    auto [it, inserted] = ctrl_leaders_.emplace(term, replica);
-    if (!inserted && it->second != replica) {
-        std::ostringstream os;
-        os << "replica " << replica << " elected in term " << term
-           << " already led by replica " << it->second;
-        violate("ctrl-split-brain", 0, os.str());
-    }
-    auto [lt, first] = ctrl_last_term_.emplace(replica, term);
-    if (!first) {
-        if (term <= lt->second) {
-            std::ostringstream os;
-            os << "replica " << replica << " re-elected in term " << term
-               << " after leading term " << lt->second;
-            violate("ctrl-term-regression", 0, os.str());
+    if (r.kind == obs::ProbeKind::Failover) {
+        const std::size_t replica = r.as<obs::ElectionOp>().replica;
+        const std::uint64_t term = r.as<obs::ElectionOp>().term;
+        auto [it, inserted] = ctrl_leaders_.emplace(term, replica);
+        if (!inserted && it->second != replica) {
+            fail("ctrl-split-brain", 0, "replica ", replica,
+                 " elected in term ", term, " already led by replica ",
+                 it->second);
         }
-        lt->second = term;
+        auto [lt, first] = ctrl_last_term_.emplace(replica, term);
+        if (!first) {
+            if (term <= lt->second) {
+                fail("ctrl-term-regression", 0, "replica ", replica,
+                     " re-elected in term ", term, " after leading term ",
+                     lt->second);
+            }
+            lt->second = term;
+        }
+        return;
     }
-}
-
-void
-SimAuditor::on_ctrl_commit(std::size_t index, std::uint64_t term,
-                           std::uint64_t seq)
-{
-    tick();
-    auto [it, inserted] = ctrl_committed_.emplace(index, CtrlEntry{term, seq});
-    if (!inserted && (it->second.term != term || it->second.seq != seq)) {
-        std::ostringstream os;
-        os << "log index " << index << " committed as term " << term
-           << "/seq " << seq << " but was already committed as term "
-           << it->second.term << "/seq " << it->second.seq;
-        violate("ctrl-commit-conflict", 0, os.str());
+    const obs::LogOp &e = r.as<obs::LogOp>();
+    if (r.kind == obs::ProbeKind::Commit) {
+        auto [it, inserted] =
+            ctrl_committed_.emplace(e.index, CtrlEntry{e.term, e.seq});
+        if (!inserted &&
+            (it->second.term != e.term || it->second.seq != e.seq)) {
+            fail("ctrl-commit-conflict", 0, "log index ", e.index,
+                 " committed as term ", e.term, "/seq ", e.seq,
+                 " but was already committed as term ", it->second.term,
+                 "/seq ", it->second.seq);
+        }
+        return;
     }
-}
-
-void
-SimAuditor::on_ctrl_apply(std::uint64_t seq, RequestId req)
-{
-    tick();
-    auto [it, inserted] = ctrl_applied_.emplace(seq, req);
+    auto [it, inserted] = ctrl_applied_.emplace(e.seq, r.id);
     if (!inserted) {
-        std::ostringstream os;
-        os << "intent seq " << seq << " applied twice (requests "
-           << it->second << " and " << req << ")";
-        violate("ctrl-double-apply", req, os.str());
+        fail("ctrl-double-apply", r.id, "intent seq ", e.seq,
+             " applied twice (requests ", it->second, " and ", r.id, ")");
     }
 }
 
@@ -497,21 +435,19 @@ SimAuditor::on_ctrl_apply(std::uint64_t seq, RequestId req)
 // ---------------------------------------------------------------------
 
 void
-SimAuditor::on_decode_group(const std::string &owner, std::uint32_t group,
-                            const std::vector<DecodeMemberClock> &members,
-                            std::size_t cached_sum)
+SimAuditor::on_decode_group(obs::OwnerId id, const obs::GroupView &v)
 {
+    const std::string &owner = name(id);
+    const std::uint32_t group = v.group;
     std::size_t sum = 0;
     std::unordered_set<const Request *> seen;
-    for (const DecodeMemberClock &m : members) {
+    for (const obs::DecodeMemberClock &m : *v.members) {
         tick(); // each member's clock check is one audited event
         const Request *r = m.req;
         if (r->decode_group != group || !seen.insert(r).second) {
-            std::ostringstream os;
-            os << owner << ": member of group " << group << " tagged "
-               << r->decode_group
-               << (r->decode_group == group ? " (listed twice)" : "");
-            violate("decode-group-membership", r->id, os.str());
+            fail("decode-group-membership", r->id, owner,
+                 ": member of group ", group, " tagged ", r->decode_group,
+                 (r->decode_group == group ? " (listed twice)" : ""));
         }
         // From scratch: one token per settled pass since its start.
         std::size_t generated = m.base;
@@ -549,11 +485,9 @@ SimAuditor::on_decode_group(const std::string &owner, std::uint32_t group,
         if (!os.str().empty())
             violate("decode-group-clock", r->id, owner + ": " + os.str());
     }
-    if (sum != cached_sum) {
-        std::ostringstream os;
-        os << owner << ": group " << group << " caches sum_context "
-           << cached_sum << ", members sum to " << sum;
-        violate("decode-group-sum", 0, os.str());
+    if (sum != v.cached_sum) {
+        fail("decode-group-sum", 0, owner, ": group ", group,
+             " caches sum_context ", v.cached_sum, ", members sum to ", sum);
     }
 }
 
@@ -578,24 +512,19 @@ SimAuditor::finish_run(const std::vector<Request> &requests,
         }
         if ((r.finished() || r.state == RequestState::Aborted) &&
             r.decode_group != workload::kNoDecodeGroup) {
-            std::ostringstream os;
-            os << "terminal request still tagged with decode group "
-               << r.decode_group;
-            violate("decode-group-leak", r.id, os.str());
+            fail("decode-group-leak", r.id,
+                 "terminal request still tagged with decode group ",
+                 r.decode_group);
         }
         if (r.generated > r.output_tokens) {
-            std::ostringstream os;
-            os << "generated " << r.generated << " of " << r.output_tokens
-               << " output tokens";
-            violate("token-overrun", r.id, os.str());
+            fail("token-overrun", r.id, "generated ", r.generated, " of ",
+                 r.output_tokens, " output tokens");
         }
         if (!r.finished())
             continue;
         if (r.generated != r.output_tokens) {
-            std::ostringstream os;
-            os << "finished with " << r.generated << " of "
-               << r.output_tokens << " output tokens";
-            violate("finish-incomplete", r.id, os.str());
+            fail("finish-incomplete", r.id, "finished with ", r.generated,
+                 " of ", r.output_tokens, " output tokens");
         }
         // A crash survivor's stamps mix incarnations: first_token_time
         // is first-ever (client-observed TTFT) while the re-dispatch
@@ -642,10 +571,8 @@ SimAuditor::finish_run(const std::vector<Request> &requests,
             if (chain[i] == workload::kNoTime)
                 continue;
             if (chain[i] + cfg_.time_tolerance < prev) {
-                std::ostringstream os;
-                os << names[i] << "=" << chain[i] << " before "
-                   << prev_name << "=" << prev;
-                violate("lifecycle-timestamps", r.id, os.str());
+                fail("lifecycle-timestamps", r.id, names[i], "=", chain[i],
+                     " before ", prev_name, "=", prev);
             }
             phase_sum += std::max(0.0, chain[i] - prev);
             prev = chain[i];
@@ -658,43 +585,47 @@ SimAuditor::finish_run(const std::vector<Request> &requests,
             double e2e = r.finish_time - r.arrival_time;
             double tol = cfg_.time_tolerance + 1e-9 * std::abs(e2e);
             if (std::abs(phase_sum - e2e) > tol) {
-                std::ostringstream os;
-                os << "phase durations sum to " << phase_sum
-                   << "s, e2e is " << e2e << "s";
-                violate("phase-telescoping", r.id, os.str());
+                fail("phase-telescoping", r.id, "phase durations sum to ",
+                     phase_sum, "s, e2e is ", e2e, "s");
             }
         }
     }
 
     if (finished_states != num_finished ||
         num_finished + num_unfinished != requests.size()) {
-        std::ostringstream os;
-        os << requests.size() << " requests, " << finished_states
-           << " in Finished state, reported " << num_finished
-           << " finished + " << num_unfinished << " unfinished";
-        violate("run-accounting", 0, os.str());
+        fail("run-accounting", 0, requests.size(), " requests, ",
+             finished_states, " in Finished state, reported ", num_finished,
+             " finished + ", num_unfinished, " unfinished");
     }
 
     // No residue of a terminal (finished or aborted) request may remain
     // in any ledger: its KV blocks and host-pool bytes must have been
-    // returned.
-    for (const auto &[owner, led] : kv_) {
-        for (const auto &[id, blocks] : led.blocks) {
+    // returned. Owners are walked in name order, so a fail-fast run
+    // reports the same first leak whatever order the rows were added.
+    std::vector<obs::OwnerId> by_name(std::max(kv_.size(), pools_.size()));
+    std::iota(by_name.begin(), by_name.end(), obs::OwnerId{0});
+    std::stable_sort(by_name.begin(), by_name.end(),
+                     [this](obs::OwnerId a, obs::OwnerId b) {
+                         return name(a) < name(b);
+                     });
+    for (obs::OwnerId owner : by_name) {
+        if (owner >= kv_.size())
+            continue;
+        for (const auto &[id, blocks] : kv_[owner].blocks) {
             if (terminal_ids.count(id)) {
-                std::ostringstream os;
-                os << owner << ": terminal request still holds " << blocks
-                   << " KV blocks";
-                violate("kv-leak", id, os.str());
+                fail("kv-leak", id, name(owner),
+                     ": terminal request still holds ", blocks, " KV blocks");
             }
         }
     }
-    for (const auto &[owner, led] : pools_) {
-        for (const auto &[id, bytes] : led.bytes) {
+    for (obs::OwnerId owner : by_name) {
+        if (owner >= pools_.size())
+            continue;
+        for (const auto &[id, bytes] : pools_[owner].bytes) {
             if (terminal_ids.count(id)) {
-                std::ostringstream os;
-                os << owner << ": terminal request still holds " << bytes
-                   << "B of host pool";
-                violate("swap-leak", id, os.str());
+                fail("swap-leak", id, name(owner),
+                     ": terminal request still holds ", bytes,
+                     "B of host pool");
             }
         }
     }

@@ -116,7 +116,7 @@ DistServeSystem::on_prefill_complete(std::size_t pair, Request *r)
     Pair &pr = pairs_[pair];
     if (r->output_tokens <= 1) {
         r->finish_time = sim_.now();
-        audit::transition(audit(), *r, RequestState::Finished);
+        obs::transition(probe(), *r, RequestState::Finished);
         pr.prefill->release_kv(r);
         if (faults())
             faults()->note_decode_ready(r);
@@ -150,15 +150,10 @@ DistServeSystem::wire(const engine::Attachments &a)
             reg.link(pr.xfer->reverse_channel());
             reg.link(pr.xfer->staged_channel());
         }
-        if (a.trace) {
-            pr.prefill->set_trace(a.trace);
-            pr.decode->set_trace(a.trace);
-            pr.xfer->set_trace(a.trace);
-        }
-        if (a.audit) {
-            pr.prefill->set_audit(a.audit);
-            pr.decode->set_audit(a.audit);
-            pr.xfer->set_audit(a.audit);
+        if (a.probe) {
+            pr.prefill->set_probe(a.probe);
+            pr.decode->set_probe(a.probe);
+            pr.xfer->set_probe(a.probe);
         }
         if (a.faults) {
             a.faults->add_instance(pr.prefill.get());

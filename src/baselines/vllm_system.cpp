@@ -40,7 +40,7 @@ VllmColocatedSystem::VllmColocatedSystem(VllmConfig cfg)
         inst->callbacks.on_prefill_complete = [this, raw](Request *r) {
             if (r->output_tokens <= 1) {
                 r->finish_time = sim_.now();
-                audit::transition(audit(), *r, RequestState::Finished);
+                obs::transition(probe(), *r, RequestState::Finished);
                 raw->release_kv(r);
                 if (faults())
                     faults()->note_decode_ready(r);
@@ -88,10 +88,8 @@ VllmColocatedSystem::wire(const engine::Attachments &a)
     for (auto &e : engines_) {
         if (a.telemetry)
             e->register_metrics(a.telemetry->registry());
-        if (a.trace)
-            e->set_trace(a.trace);
-        if (a.audit)
-            e->set_audit(a.audit);
+        if (a.probe)
+            e->set_probe(a.probe);
         if (a.faults)
             a.faults->add_instance(e.get());
     }

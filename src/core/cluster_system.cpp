@@ -4,7 +4,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "audit/sim_auditor.hpp"
 #include "fault/fault_injector.hpp"
 #include "hw/transfer_engine.hpp"
 #include "obs/telemetry.hpp"
@@ -297,7 +296,7 @@ ClusterServeSystem::decide_offload(std::size_t k, Request *r,
     }
 
     ++cross_offloads_;
-    audit::transition(audit(), *r, RequestState::Transferring);
+    obs::transition(probe(), *r, RequestState::Transferring);
     cross_transferring_[r->id] = CrossXfer{r, k, best};
     // Cross-node copies cannot overlap the (finished) prefill pass, so
     // the full prompt KV crosses the fabric.
@@ -364,15 +363,11 @@ ClusterServeSystem::wire(const engine::Attachments &a)
     }
     if (a.telemetry)
         wire_cluster_telemetry(*a.telemetry);
-    if (a.trace) {
+    if (a.probe) {
         for (auto &nic : nics_)
-            nic->set_trace(a.trace, "interconnect", nic->name());
-    }
-    if (a.audit) {
-        for (auto &nic : nics_)
-            nic->set_audit(a.audit);
+            nic->set_probe(a.probe, "interconnect", nic->name());
         if (ctrl_)
-            ctrl_->set_audit(a.audit);
+            ctrl_->set_probe(a.probe);
     }
     if (!a.faults)
         return;
@@ -456,9 +451,6 @@ ClusterServeSystem::wire_cluster_telemetry(obs::Telemetry &t)
         }
     }
     if (ctrl_) {
-        // Failover decisions journal next to the pods' dispatches.
-        if (t.journal())
-            ctrl_->set_journal(t.journal());
         ctrl::ControlPlane *cp = ctrl_.get();
         reg.gauge("ws_ctrl_term", "",
                   [cp] { return static_cast<double>(cp->max_term()); },

@@ -108,6 +108,9 @@ class ClusterServeSystem : public engine::ServingSystem
     // introspection
     std::size_t num_pods() const { return pods_.size(); }
     Pod &pod(std::size_t k) { return *pods_.at(k); }
+    /** Inter-node NIC links (empty for a single-node cluster). */
+    std::size_t num_nics() const { return nics_.size(); }
+    const hw::SharedChannel &nic(std::size_t i) const { return *nics_.at(i); }
     /** Always nullptr: pods share the cluster's one queue. Kept only
      *  because perfbench/runner.cpp still reads LP counters through it. */
     const sim::LpScheduler *lp() const { return nullptr; }

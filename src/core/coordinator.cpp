@@ -2,9 +2,6 @@
 
 #include <algorithm>
 
-#include "audit/sim_auditor.hpp"
-#include "obs/decision_journal.hpp"
-#include "obs/trace_recorder.hpp"
 #include "simcore/log.hpp"
 
 namespace windserve::core {
@@ -84,58 +81,33 @@ Coordinator::decide_dispatch(const workload::Request &r,
         queued, static_cast<double>(r.prompt_tokens),
         prefill.inflight_prefill_remaining());
 
-    // Journal the full Algorithm-1 deliberation: both candidates with
+    // Report the full Algorithm-1 deliberation: both candidates with
     // the loads that scored them. available_slots() is a pure read, so
-    // evaluating it for the journal never perturbs the decision.
-    auto note = [&](const char *chosen, const char *reason,
-                    std::size_t slots) {
-        if (journal_ == nullptr)
+    // evaluating it for the probe never perturbs the decision.
+    const bool reporting =
+        probe_ && probe_->wants(obs::ProbeKind::Dispatch);
+    auto report = [&](bool to_decode, const char *reason,
+                      std::size_t slots) {
+        if (!reporting)
             return;
-        obs::Decision d;
-        d.time = log_now();
-        d.kind = obs::DecisionKind::Dispatch;
-        d.request = r.id;
-        d.chosen = chosen;
-        d.reason = reason;
-        d.candidates.push_back(obs::DecisionOption{
-            "prefill",
-            true,
-            {{"predicted_ttft", ttft_pred},
-             {"thrd", cfg_.thrd},
-             {"queued_tokens", queued},
-             {"inflight_remaining",
-              prefill.inflight_prefill_remaining()}}});
-        d.candidates.push_back(obs::DecisionOption{
-            "decode",
-            slots >= r.prompt_tokens,
-            {{"available_slots", static_cast<double>(slots)},
-             {"prompt_tokens",
-              static_cast<double>(r.prompt_tokens)}}});
-        journal_->record(std::move(d));
+        probe_->emit(obs::ProbeKind::Dispatch, owner_, r.id,
+                     obs::DispatchOp{to_decode, reason, r.prompt_tokens,
+                                     slots, ttft_pred, cfg_.thrd, queued,
+                                     prefill.inflight_prefill_remaining()});
     };
 
     if (ttft_pred <= cfg_.thrd) {
-        note("prefill", "ttft_under_thrd",
-             journal_ ? available_slots(decode) : 0);
+        report(false, "ttft_under_thrd",
+               reporting ? available_slots(decode) : 0);
         return DispatchDecision::PrefillInstance;
     }
     std::size_t slots = available_slots(decode);
     if (slots >= r.prompt_tokens) {
         ++dispatches_;
-        if (audit_)
-            audit_->on_dispatch(r.id, r.prompt_tokens, slots);
-        if (trace_) {
-            trace_->instant(
-                obs::Category::Scheduler, "scheduler", "coordinator",
-                "dispatch-to-decode",
-                {obs::num_arg("req", std::uint64_t(r.id)),
-                 obs::num_arg("tokens", std::uint64_t(r.prompt_tokens)),
-                 obs::num_arg("predicted_ttft", ttft_pred)});
-        }
-        note("decode", "ttft_over_thrd", slots);
+        report(true, "ttft_over_thrd", slots);
         return DispatchDecision::DecodeInstance;
     }
-    note("prefill", "no_decode_slots", slots);
+    report(false, "no_decode_slots", slots);
     return DispatchDecision::PrefillInstance;
 }
 
@@ -147,7 +119,7 @@ Coordinator::maybe_reschedule(engine::Instance &decode,
     if (!cfg_.enable_rescheduling)
         return false;
     // Every gate below is a pure read, so their order cannot change the
-    // outcome; occupancy goes first so the journal records exactly the
+    // outcome; occupancy goes first so the probe reports exactly the
     // pressure-triggered deliberations (the no-pressure common case is
     // not a decision worth remembering).
     const double occupancy = decode.blocks().occupancy();
@@ -156,66 +128,40 @@ Coordinator::maybe_reschedule(engine::Instance &decode,
 
     const std::size_t resident = prefill.running_decode_requests() +
                                  prefill.waiting_decode_requests();
-    auto note = [&](std::uint64_t req, bool feasible, const char *chosen,
-                    const char *reason, double victim_ctx) {
-        if (journal_ == nullptr)
+    auto report = [&](std::uint64_t req, bool started, const char *reason,
+                      std::size_t victim_ctx) {
+        if (!probe_)
             return;
-        obs::Decision d;
-        d.time = log_now();
-        d.kind = obs::DecisionKind::Reschedule;
-        d.request = req;
-        d.chosen = chosen;
-        d.reason = reason;
-        d.candidates.push_back(obs::DecisionOption{
-            "migrate-to-prefill",
-            feasible,
-            {{"decode_occupancy", occupancy},
-             {"trigger", cfg_.resched_occupancy_trigger},
-             {"active_migrations",
-              static_cast<double>(migration.active())},
-             {"migrated_resident", static_cast<double>(resident)},
-             {"victim_ctx", victim_ctx}}});
-        journal_->record(std::move(d));
+        probe_->emit(obs::ProbeKind::Reschedule, owner_, req,
+                     obs::RescheduleOp{started, reason, occupancy,
+                                       cfg_.resched_occupancy_trigger,
+                                       migration.active(), resident,
+                                       victim_ctx});
     };
 
     if (migration.active() >= cfg_.max_concurrent_migrations) {
-        note(0, false, "", "migration_cap", 0.0);
+        report(0, false, "migration_cap", 0);
         return false;
     }
     // Hosting too many migrated decodes keeps the prefill instance in
     // chunked mode and starves TTFT; stop rescheduling until they drain.
     if (resident >= cfg_.max_migrated_resident) {
-        note(0, false, "", "resident_cap", 0.0);
+        report(0, false, "resident_cap", 0);
         return false;
     }
     engine::Request *victim =
         engine::select_migration_victim(decode.groups());
     if (victim == nullptr) {
-        note(0, false, "", "no_victim", 0.0);
+        report(0, false, "no_victim", 0);
         return false;
     }
     const std::size_t victim_ctx = decode.progress(victim).context_length();
     if (!migration.start(victim)) {
-        note(victim->id, false, "", "migration_start_failed",
-             static_cast<double>(victim_ctx));
+        report(victim->id, false, "migration_start_failed", victim_ctx);
         return false;
     }
-    note(victim->id, true, "migrate-to-prefill",
-         "occupancy_over_trigger", static_cast<double>(victim_ctx));
+    report(victim->id, true, "occupancy_over_trigger", victim_ctx);
     ++reschedules_;
-    if (audit_) {
-        audit_->on_reschedule(victim->id, decode.blocks().occupancy(),
-                              cfg_.resched_occupancy_trigger);
-    }
-    if (trace_) {
-        trace_->instant(
-            obs::Category::Scheduler, "scheduler", "coordinator",
-            "reschedule",
-            {obs::num_arg("req", std::uint64_t(victim->id)),
-             obs::num_arg("ctx", std::uint64_t(victim_ctx)),
-             obs::num_arg("decode_occupancy",
-                          decode.blocks().occupancy())});
-    }
     WS_LOG_AT(Debug, "coordinator", log_now())
         << "reschedule req " << victim->id << " ctx " << victim_ctx;
     return true;

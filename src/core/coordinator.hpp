@@ -22,11 +22,6 @@
 #include "engine/instance.hpp"
 #include "transfer/migration.hpp"
 
-namespace windserve::obs {
-class TraceRecorder;
-class DecisionJournal;
-}
-
 namespace windserve::core {
 
 /** Tunables of the Coordinator's policies. */
@@ -118,18 +113,15 @@ class Coordinator
     std::uint64_t dispatches() const { return dispatches_; }
     std::uint64_t reschedules() const { return reschedules_; }
 
-    /** Record dispatch/reschedule decision instants on @p rec. */
-    void set_trace(obs::TraceRecorder *rec) { trace_ = rec; }
-
-    /** Report dispatch/reschedule decisions (with the slot/occupancy
-     *  evidence backing them) to @p a. */
-    void set_audit(audit::SimAuditor *a) { audit_ = a; }
-
-    /** Journal every dispatch deliberation and every pressure-triggered
-     *  rescheduling deliberation (candidate sets, scores, outcome) into
-     *  @p j. nullptr (the default) disables journaling; the decisions
-     *  themselves are identical either way. */
-    void set_journal(obs::DecisionJournal *j) { journal_ = j; }
+    /** Report every dispatch and every pressure-triggered rescheduling
+     *  deliberation, with each candidate's evidence, to @p p (nullptr,
+     *  the default, disables reporting; decisions are identical). */
+    void set_probe(obs::Probe *p)
+    {
+        probe_ = p;
+        owner_ = p ? p->add_owner("coordinator", "scheduler", "coordinator")
+                   : obs::kNoOwner;
+    }
 
     /** Timebase for timestamped logs and decision instants. The
      *  coordinator owns no simulator; the serving system binds its own. */
@@ -143,9 +135,8 @@ class Coordinator
     Profiler &decode_profiler_;
     std::uint64_t dispatches_ = 0;
     std::uint64_t reschedules_ = 0;
-    obs::TraceRecorder *trace_ = nullptr;
-    audit::SimAuditor *audit_ = nullptr;
-    obs::DecisionJournal *journal_ = nullptr;
+    obs::Probe *probe_ = nullptr;
+    obs::OwnerId owner_ = obs::kNoOwner;
     const sim::Simulator *clock_ = nullptr;
 };
 

@@ -135,7 +135,6 @@ void
 Pod::wire(const engine::Attachments &a, const std::string &pod_label)
 {
     if (obs::Telemetry *t = a.telemetry) {
-        telemetry_ = t;
         obs::MetricRegistry &reg = t->registry();
         prefill_->register_metrics(reg);
         decode_->register_metrics(reg);
@@ -171,23 +170,15 @@ Pod::wire(const engine::Attachments &a, const std::string &pod_label)
                             backup_->backups_taken());
                     },
                     "Proactive KV backups taken");
-        scheduler_->coordinator().set_journal(t->journal());
     }
-    if (obs::TraceRecorder *rec = a.trace) {
-        prefill_->set_trace(rec);
-        decode_->set_trace(rec);
-        xfer_->set_trace(rec);
-        migration_->set_trace(rec);
-        backup_->set_trace(rec);
-        scheduler_->set_trace(rec);
-    }
-    if (a.audit) {
-        audit_ = a.audit;
-        prefill_->set_audit(a.audit);
-        decode_->set_audit(a.audit);
-        xfer_->set_audit(a.audit);
-        migration_->set_audit(a.audit);
-        scheduler_->set_audit(a.audit);
+    if (a.probe) {
+        probe_ = a.probe;
+        prefill_->set_probe(probe_);
+        decode_->set_probe(probe_);
+        xfer_->set_probe(probe_);
+        migration_->set_probe(probe_);
+        backup_->set_probe(probe_);
+        scheduler_->coordinator().set_probe(probe_);
     }
     if (fault::FaultInjector *inj = a.faults) {
         faults_ = inj;
@@ -230,7 +221,7 @@ Pod::finish_prefill_only(engine::Instance &inst, Request *r)
     // Single-output-token request: the prefill's first token is also the
     // EOS; no decode phase exists.
     r->finish_time = sim_.now();
-    audit::transition(audit_, *r, RequestState::Finished);
+    obs::transition(probe_, *r, RequestState::Finished);
     inst.release_kv(r);
     on_finished(r);
 }
@@ -335,27 +326,10 @@ Pod::redispatch_after_fault(Request *r)
     const bool resumable = backed >= r->prompt_tokens && backed > 0 &&
                            !prefill_->is_down() &&
                            prefill_->blocks().holds(r->id);
-    if (obs::DecisionJournal *jnl =
-            telemetry_ ? telemetry_->journal() : nullptr) {
-        obs::Decision d;
-        d.time = sim_.now();
-        d.kind = obs::DecisionKind::Redispatch;
-        d.request = r->id;
-        d.chosen = resumable ? "resume-backup" : "recompute";
-        d.reason = resumable ? "backup_covers_prompt"
-                             : "no_usable_backup";
-        d.candidates.push_back(obs::DecisionOption{
-            "resume-backup",
-            resumable,
-            {{"backed_up_tokens", static_cast<double>(backed)},
-             {"prompt_tokens", static_cast<double>(r->prompt_tokens)},
-             {"prefill_up", prefill_->is_down() ? 0.0 : 1.0}}});
-        d.candidates.push_back(obs::DecisionOption{
-            "recompute",
-            true,
-            {{"prompt_tokens",
-              static_cast<double>(r->prompt_tokens)}}});
-        jnl->record(std::move(d));
+    if (probe_) {
+        probe_->emit(obs::ProbeKind::Redispatch, obs::kNoOwner, r->id,
+                     obs::RedispatchOp{resumable, backed, r->prompt_tokens,
+                                       !prefill_->is_down()});
     }
     if (resumable) {
         backup_registry_.drop(r->id);

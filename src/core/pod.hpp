@@ -46,9 +46,6 @@ struct Attachments;
 namespace windserve::fault {
 class FaultInjector;
 }
-namespace windserve::obs {
-class Telemetry;
-}
 
 namespace windserve::core {
 
@@ -116,10 +113,10 @@ class Pod
   public:
     /**
      * Build a pod on @p sim. @p name_prefix (e.g. "pod3/") prefixes the
-     * instance and channel names so the auditor's per-name ledgers stay
-     * distinct across pods; the empty default keeps the historical
-     * names. @p index is the pod's id within its cluster (0 for the
-     * single-pod system).
+     * instance and channel names so their probe owner rows (and the
+     * auditor's ledgers) stay distinct across pods; the empty default
+     * keeps the historical names. @p index is the pod's id within its
+     * cluster (0 for the single-pod system).
      */
     Pod(sim::Simulator &sim, const WindServeConfig &cfg, PodHooks hooks,
         std::string name_prefix = "", std::size_t index = 0);
@@ -218,9 +215,8 @@ class Pod
     std::unique_ptr<transfer::MigrationManager> migration_;
     std::unique_ptr<transfer::BackupManager> backup_;
     std::unique_ptr<GlobalScheduler> scheduler_;
-    audit::SimAuditor *audit_ = nullptr;
+    obs::Probe *probe_ = nullptr;
     fault::FaultInjector *faults_ = nullptr;
-    obs::Telemetry *telemetry_ = nullptr;
     /** Requests whose prefill KV copy is in flight — invisible to both
      *  instances' queues, so a prefill crash must sweep them here.
      *  Ordered map: the crash hook iterates it. */

@@ -3,9 +3,6 @@
 #include <algorithm>
 #include <string>
 
-#include "audit/sim_auditor.hpp"
-#include "obs/decision_journal.hpp"
-
 namespace windserve::ctrl {
 
 ControlPlane::ControlPlane(sim::Simulator &sim, ControlPlaneConfig cfg)
@@ -255,26 +252,12 @@ void ControlPlane::become_leader(std::size_t k)
     r.match_index.assign(n, 0);
     ++elections_;
     std::uint64_t term = r.elect.term();
-    if (audit_)
-        audit_->on_ctrl_elected(term, k);
-    if (journal_) {
-        obs::Decision d;
-        d.time = sim_.now();
-        d.kind = obs::DecisionKind::Failover;
-        d.request = 0;
-        for (std::size_t j = 0; j < n; ++j) {
-            obs::DecisionOption o;
-            o.target = "replica" + std::to_string(j);
-            o.feasible = alive(j);
-            o.scores.emplace_back("term",
-                                  static_cast<double>(
-                                      replicas_[j]->elect.term()));
-            d.candidates.push_back(std::move(o));
-        }
-        d.chosen = "replica" + std::to_string(k);
-        d.reason =
-            elections_ == 1 ? "initial-election" : "leader-failover";
-        journal_->record(std::move(d));
+    if (probe_ && probe_->wants(obs::ProbeKind::Failover)) {
+        std::vector<obs::ReplicaView> views;
+        for (std::size_t j = 0; j < n; ++j)
+            views.push_back({alive(j), replicas_[j]->elect.term()});
+        probe_->emit(obs::ProbeKind::Failover, obs::kNoOwner, 0,
+                     obs::ElectionOp{k, term, elections_ == 1, &views});
     }
     // NoOp barrier: commits the new term (and, transitively, every
     // earlier entry) as soon as a majority acknowledges it.
@@ -457,8 +440,10 @@ void ControlPlane::commit_to(std::size_t k, std::size_t index)
         std::size_t idx = ++r.commit_index;
         const LogEntry &e = r.log.at(idx);
         ++commits_;
-        if (audit_)
-            audit_->on_ctrl_commit(idx, e.term, e.seq);
+        if (probe_) {
+            probe_->emit(obs::ProbeKind::Commit, obs::kNoOwner, e.request,
+                         obs::LogOp{idx, e.term, e.seq});
+        }
         apply_entry(e);
     }
     if (failover_pending_) {
@@ -482,8 +467,10 @@ void ControlPlane::apply_entry(const LogEntry &e)
     auto apply = std::move(it->second.apply);
     pending_.erase(it);
     ++applies_;
-    if (audit_)
-        audit_->on_ctrl_apply(e.seq, e.request);
+    if (probe_) {
+        probe_->emit(obs::ProbeKind::Apply, obs::kNoOwner, e.request,
+                     obs::LogOp{0, e.term, e.seq});
+    }
     if (apply)
         apply();
 }

@@ -34,10 +34,11 @@
  * control plane can dispatch again.
  *
  * The owner injects faults via on_leader_crash()/on_partition() (the
- * cluster translates fault::FaultEvent), and wires the auditor's
- * split-brain / commit-conflict / double-apply invariants via
- * set_audit(). All events the control plane schedules are tagged with
- * the "ctrl" profiler source.
+ * cluster translates fault::FaultEvent), and hands it the run's probe
+ * via set_probe(): elections, commits and applies feed the auditor's
+ * split-brain / commit-conflict / double-apply invariants and the
+ * journal's failover decisions. All events the control plane schedules
+ * are tagged with the "ctrl" profiler source.
  */
 #pragma once
 
@@ -52,16 +53,10 @@
 #include "ctrl/kv_directory.hpp"
 #include "ctrl/replicated_log.hpp"
 #include "hw/transfer_engine.hpp"
+#include "obs/probe.hpp"
 #include "simcore/rng.hpp"
 #include "simcore/simulator.hpp"
 #include "simcore/stats.hpp"
-
-namespace windserve::audit {
-class SimAuditor;
-}
-namespace windserve::obs {
-class DecisionJournal;
-}
 
 namespace windserve::ctrl {
 
@@ -99,9 +94,9 @@ class ControlPlane
     ControlPlane(const ControlPlane &) = delete;
     ControlPlane &operator=(const ControlPlane &) = delete;
 
-    void set_audit(audit::SimAuditor *a) { audit_ = a; }
-    /** Failover decisions are journaled here. */
-    void set_journal(obs::DecisionJournal *j) { journal_ = j; }
+    /** Report elections (the failover decisions), commits and
+     *  applies to @p p. nullptr (the default) disables reporting. */
+    void set_probe(obs::Probe *p) { probe_ = p; }
 
     /** Arm the election timers; call once at the start of replay. */
     void start();
@@ -251,8 +246,7 @@ class ControlPlane
     std::uint64_t reproposals_ = 0;
     sim::Sample failover_latency_;
 
-    audit::SimAuditor *audit_ = nullptr;
-    obs::DecisionJournal *journal_ = nullptr;
+    obs::Probe *probe_ = nullptr;
 };
 
 } // namespace windserve::ctrl

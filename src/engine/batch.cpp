@@ -4,8 +4,8 @@
 #include <atomic>
 #include <stdexcept>
 
-#include "audit/sim_auditor.hpp"
 #include "kvcache/block_manager.hpp"
+#include "obs/probe.hpp"
 
 namespace windserve::engine {
 
@@ -427,12 +427,12 @@ DecodeGroup::reset_backup_marks()
 
 void
 DecodeGroup::audit_view(const kvcache::BlockManager &blocks,
-                        std::vector<audit::DecodeMemberClock> &out) const
+                        std::vector<obs::DecodeMemberClock> &out) const
 {
     out.clear();
     for (std::size_t i = 0; i < slots_.size(); ++i) {
         const Slot &s = slots_[i];
-        audit::DecodeMemberClock m;
+        obs::DecodeMemberClock m;
         m.req = members_[i];
         m.base = s.base;
         m.start = s.start;

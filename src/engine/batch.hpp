@@ -13,7 +13,7 @@
 namespace windserve::kvcache {
 class BlockManager;
 }
-namespace windserve::audit {
+namespace windserve::obs {
 struct DecodeMemberClock;
 }
 
@@ -198,7 +198,7 @@ class DecodeGroup
     /** Fill @p out with each member's clock state for the auditor,
      *  reading the blocks each one holds in @p blocks. */
     void audit_view(const kvcache::BlockManager &blocks,
-                    std::vector<audit::DecodeMemberClock> &out) const;
+                    std::vector<obs::DecodeMemberClock> &out) const;
 
   private:
     friend void set_generated(Request &r, std::size_t n, DecodeGroup *group);

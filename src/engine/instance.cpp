@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <cassert>
 
-#include "audit/sim_auditor.hpp"
 #include "obs/metric_registry.hpp"
-#include "obs/trace_recorder.hpp"
 #include "simcore/log.hpp"
 
 namespace windserve::engine {
@@ -58,20 +56,13 @@ Instance::max_per_group() const
 }
 
 void
-Instance::set_trace(obs::TraceRecorder *rec)
+Instance::set_probe(obs::Probe *p)
 {
-    trace_ = rec;
-    host_channel_.set_trace(rec, cfg_.name, "host-dma");
-    swap_.set_trace(rec, cfg_.name);
-}
-
-void
-Instance::set_audit(audit::SimAuditor *a)
-{
-    audit_ = a;
-    blocks_.set_audit(a, cfg_.name);
-    swap_.set_audit(a, cfg_.name);
-    host_channel_.set_audit(a);
+    probe_ = p;
+    owner_ = p ? p->add_owner(cfg_.name, cfg_.name) : obs::kNoOwner;
+    blocks_.set_probe(p, owner_);
+    swap_.set_probe(p, owner_);
+    host_channel_.set_probe(p, cfg_.name, "host-dma");
 }
 
 void
@@ -158,7 +149,7 @@ Instance::schedule_pump()
 void
 Instance::enqueue_prefill(Request *r)
 {
-    audit::transition(audit_, *r, RequestState::WaitingPrefill);
+    obs::transition(probe_, *r, RequestState::WaitingPrefill);
     if (r->prefill_enqueue_time == workload::kNoTime)
         r->prefill_enqueue_time = sim_.now();
     prefill_q_.push_back(r);
@@ -168,7 +159,7 @@ Instance::enqueue_prefill(Request *r)
 void
 Instance::enqueue_decode(Request *r, bool kv_resident)
 {
-    audit::transition(audit_, *r, RequestState::WaitingDecode);
+    obs::transition(probe_, *r, RequestState::WaitingDecode);
     if (r->decode_enqueue_time == workload::kNoTime)
         r->decode_enqueue_time = sim_.now();
     if (!kv_resident) {
@@ -183,7 +174,7 @@ Instance::enqueue_decode(Request *r, bool kv_resident)
 void
 Instance::enqueue_assist_prefill(Request *r)
 {
-    audit::transition(audit_, *r, RequestState::WaitingPrefill);
+    obs::transition(probe_, *r, RequestState::WaitingPrefill);
     r->prefill_dispatched = true;
     if (r->prefill_enqueue_time == workload::kNoTime)
         r->prefill_enqueue_time = sim_.now();
@@ -245,26 +236,17 @@ Instance::try_start_prefill_slots()
         for (Request *r : batch.requests) {
             if (r->prefill_start_time == workload::kNoTime)
                 r->prefill_start_time = sim_.now();
-            audit::transition(audit_, *r, RequestState::Prefilling);
+            obs::transition(probe_, *r, RequestState::Prefilling);
         }
         double dur =
             sampler_.prefill(static_cast<double>(batch.total_tokens));
         dur *= slowdown_;
         batch.started = sim_.now();
         batch.expected_end = sim_.now() + dur;
-        if (trace_) {
-            trace_->instant(
-                obs::Category::Scheduler, cfg_.name, "local-scheduler",
-                "prefill-batch",
-                {obs::num_arg("requests",
-                              std::uint64_t(batch.requests.size())),
-                 obs::num_arg("tokens", std::uint64_t(batch.total_tokens))});
-            trace_->span(
-                obs::Category::Gpu, cfg_.name, "slot" + std::to_string(s),
-                "prefill", sim_.now(), dur,
-                {obs::num_arg("tokens", std::uint64_t(batch.total_tokens)),
-                 obs::num_arg("requests",
-                              std::uint64_t(batch.requests.size()))});
+        if (probe_) {
+            probe_->emit(obs::ProbeKind::PrefillPass, owner_, 0,
+                         obs::Pass{s, "", dur, batch.requests.size(),
+                                   batch.total_tokens});
         }
         if (prefill_tokens_hist_)
             prefill_tokens_hist_->observe(
@@ -323,7 +305,7 @@ Instance::try_start_sbd_stream()
         assist_q_.pop_front();
         if (r->prefill_start_time == workload::kNoTime)
             r->prefill_start_time = sim_.now();
-        audit::transition(audit_, *r, RequestState::Prefilling);
+        obs::transition(probe_, *r, RequestState::Prefilling);
         batch.push_back(r);
         tokens += r->prompt_tokens;
     }
@@ -331,15 +313,9 @@ Instance::try_start_sbd_stream()
         return;
     double dur = sampler_.sbd_prefill(static_cast<double>(tokens));
     dur *= slowdown_;
-    if (trace_) {
-        trace_->instant(
-            obs::Category::Scheduler, cfg_.name, "local-scheduler",
-            "stream-split",
-            {obs::num_arg("requests", std::uint64_t(batch.size())),
-             obs::num_arg("tokens", std::uint64_t(tokens))});
-        trace_->span(obs::Category::Gpu, cfg_.name, "sbd-stream",
-                     "sbd-prefill", sim_.now(), dur,
-                     {obs::num_arg("tokens", std::uint64_t(tokens))});
+    if (probe_) {
+        probe_->emit(obs::ProbeKind::SbdPass, owner_, 0,
+                     obs::Pass{0, "", dur, batch.size(), tokens});
     }
     if (prefill_tokens_hist_)
         prefill_tokens_hist_->observe(static_cast<double>(tokens));
@@ -379,10 +355,11 @@ Instance::try_start_group(std::size_t g)
     if (grp.busy)
         return;
     sim::SourceScope src(sim_, src_decode_);
-    if (audit_) {
+    if (probe_ && probe_->wants(obs::ProbeKind::GroupCheck)) {
         grp.audit_view(blocks_, audit_clock_);
-        audit_->on_decode_group(cfg_.name, grp.id(), audit_clock_,
-                                grp.sum_context());
+        probe_->emit(obs::ProbeKind::GroupCheck, owner_, 0,
+                     obs::GroupView{grp.id(), &audit_clock_,
+                                    grp.sum_context()});
     }
 
     std::size_t batch = grp.size();
@@ -400,16 +377,13 @@ Instance::try_start_group(std::size_t g)
                 prefill_q_.pop_front();
                 if (cand->prefill_start_time == workload::kNoTime)
                     cand->prefill_start_time = sim_.now();
-                audit::transition(audit_, *cand, RequestState::Prefilling);
+                obs::transition(probe_, *cand, RequestState::Prefilling);
                 cand->was_chunked = true;
                 chunk_head_[g] = cand;
-                if (trace_) {
-                    trace_->instant(
-                        obs::Category::Scheduler, cfg_.name,
-                        "local-scheduler", "chunk-admit",
-                        {obs::num_arg("req", std::uint64_t(cand->id)),
-                         obs::num_arg("tokens",
-                                      std::uint64_t(cand->prompt_tokens))});
+                if (probe_) {
+                    probe_->emit(obs::ProbeKind::ChunkAdmit, owner_,
+                                 cand->id,
+                                 obs::Tokens{cand->prompt_tokens});
                 }
             }
         }
@@ -437,7 +411,7 @@ Instance::try_start_group(std::size_t g)
             assist_q_.pop_front();
             if (r->prefill_start_time == workload::kNoTime)
                 r->prefill_start_time = sim_.now();
-            audit::transition(audit_, *r, RequestState::Prefilling);
+            obs::transition(probe_, *r, RequestState::Prefilling);
             hybrid.push_back(r);
             hybrid_tokens += r->prompt_tokens;
         }
@@ -491,17 +465,12 @@ Instance::try_start_group(std::size_t g)
         // and exhaustion guards key off it, and clobbering it here would
         // let the request be swapped out mid-migration (double-owned).
         if (r->state != RequestState::Migrating)
-            audit::transition(audit_, *r, RequestState::Decoding);
+            obs::transition(probe_, *r, RequestState::Decoding);
     }
-    if (trace_) {
-        trace_->span(obs::Category::Gpu, cfg_.name,
-                     "group" + std::to_string(g), mode, sim_.now(), dur,
-                     {obs::num_arg("batch", std::uint64_t(batch)),
-                      obs::num_arg("sum_context", std::uint64_t(sum_l)),
-                      obs::num_arg("chunk_tokens",
-                                   std::uint64_t(chunk_tokens)),
-                      obs::num_arg("assist_tokens",
-                                   std::uint64_t(hybrid_tokens))});
+    if (probe_) {
+        probe_->emit(obs::ProbeKind::DecodePass, owner_, 0,
+                     obs::Pass{g, mode, dur, batch, sum_l, chunk_tokens,
+                               hybrid_tokens});
     }
     if (decode_batch_hist_ && batch > 0)
         decode_batch_hist_->observe(static_cast<double>(batch));
@@ -584,7 +553,7 @@ void
 Instance::finish_request(Request *r)
 {
     r->finish_time = sim_.now();
-    audit::transition(audit_, *r, RequestState::Finished);
+    obs::transition(probe_, *r, RequestState::Finished);
     for (auto &grp : groups_)
         grp.remove(r);
     blocks_.release(r->id);
@@ -629,7 +598,7 @@ Instance::grow_kv(Request *r, std::size_t g, std::size_t ctx)
         // cost layer). Each retry costs at least one decode pass of
         // simulated time, so the loop cannot spin at one instant.
         set_generated(*r, ctx - r->prompt_tokens - 1, &groups_[g]);
-        audit::transition(audit_, *r, RequestState::WaitingDecode);
+        obs::transition(probe_, *r, RequestState::WaitingDecode);
         for (auto &grp : groups_)
             grp.remove(r);
         blocks_.release(r->id);
@@ -652,15 +621,9 @@ Instance::swap_out(Request *victim)
         return false;
     WS_LOG_AT(Debug, cfg_.name, sim_.now())
         << "swap out req " << victim->id << " ctx " << ctx;
-    if (trace_) {
-        trace_->instant(obs::Category::Scheduler, cfg_.name,
-                        "local-scheduler", "swap-out",
-                        {obs::num_arg("req", std::uint64_t(victim->id)),
-                         obs::num_arg("ctx", std::uint64_t(ctx))});
-    }
     blocks_.release(victim->id);
     ++victim->swap_outs;
-    audit::transition(audit_, *victim, RequestState::SwappedOut);
+    obs::transition(probe_, *victim, RequestState::SwappedOut);
     for (auto &grp : groups_)
         grp.remove(victim);
     decode_q_.push_front(victim);
@@ -696,19 +659,13 @@ Instance::try_swap_in()
         return; // not enough headroom yet
     blocks_.allocate(r->id, ctx);
     swapping_in_.insert(r->id);
-    host_channel_.submit(swap_.bytes_for(ctx), [this, r, ctx, e = epoch_] {
+    host_channel_.submit(swap_.bytes_for(ctx), [this, r, e = epoch_] {
         if (e != epoch_)
             return;
         swap_.swap_in(r->id);
         swapping_in_.erase(r->id);
         swap_ready_.erase(r->id);
-        audit::transition(audit_, *r, RequestState::WaitingDecode);
-        if (trace_) {
-            trace_->instant(obs::Category::Scheduler, cfg_.name,
-                            "local-scheduler", "swap-in",
-                            {obs::num_arg("req", std::uint64_t(r->id)),
-                             obs::num_arg("ctx", std::uint64_t(ctx))});
-        }
+        obs::transition(probe_, *r, RequestState::WaitingDecode);
         pump();
     });
 }
@@ -812,6 +769,10 @@ Instance::crash()
     WS_LOG_AT(Info, cfg_.name, sim_.now())
         << "crash: " << victims.size() << " victims evicted";
     refresh_utilization();
+    if (probe_) {
+        probe_->emit(obs::ProbeKind::Wiped, owner_, 0,
+                     obs::Wipe{blocks_.used_blocks(), swap_.used_bytes()});
+    }
     return victims;
 }
 

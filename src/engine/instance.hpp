@@ -27,18 +27,17 @@
 #include <unordered_set>
 #include <vector>
 
-#include "audit/sim_auditor.hpp"
 #include "engine/batch.hpp"
 #include "engine/execution.hpp"
 #include "engine/local_scheduler.hpp"
 #include "hw/transfer_engine.hpp"
 #include "kvcache/block_manager.hpp"
 #include "kvcache/swap_pool.hpp"
+#include "obs/probe.hpp"
 #include "simcore/simulator.hpp"
 #include "simcore/utilization.hpp"
 
 namespace windserve::obs {
-class TraceRecorder;
 class MetricRegistry;
 class Histogram;
 }
@@ -165,6 +164,8 @@ class Instance
     const kvcache::BlockManager &blocks() const { return blocks_; }
     kvcache::SwapPool &swap_pool() { return swap_; }
     const kvcache::SwapPool &swap_pool() const { return swap_; }
+    /** The host DMA channel swaps ride. */
+    const hw::Channel &host_channel() const { return host_channel_; }
 
     /** Fraction of KV block capacity in use — the memory-pressure
      *  signal cross-pod balancers route on. */
@@ -226,22 +227,11 @@ class Instance
     /** Total pure prefill passes executed. */
     std::uint64_t prefill_passes() const { return prefill_passes_; }
 
-    /**
-     * Record execution spans (prefill slots, SBD stream, decode groups),
-     * local-scheduler instants (batch formation, chunk admission, stream
-     * split, swap-out/in) and host-link DMA spans on @p rec. nullptr
-     * (the default) disables all emission; the instance name is the
-     * trace process.
-     */
-    void set_trace(obs::TraceRecorder *rec);
-
-    /**
-     * Install @p a on this instance and everything it owns (block
-     * manager, swap pool, host DMA channel) and route every request
-     * state change through it. nullptr (the default) disables auditing
-     * with zero behavioural change.
-     */
-    void set_audit(audit::SimAuditor *a);
+    /** Report to @p p from this instance (its name is its row's audit
+     *  name and trace process) and everything it owns: block manager,
+     *  swap pool, host DMA channel. nullptr (the default) disables
+     *  reporting with zero behavioural change. */
+    void set_probe(obs::Probe *p);
 
     /**
      * Register this instance's telemetry instruments on @p reg: queue
@@ -331,8 +321,8 @@ class Instance
     double sbd_end_ = 0.0;
 
     std::vector<DecodeGroup> groups_;
-    /** Reused buffer for the auditor's per-pass group view. */
-    std::vector<audit::DecodeMemberClock> audit_clock_;
+    /** Reused buffer for the per-pass group view (GroupCheck). */
+    std::vector<obs::DecodeMemberClock> audit_clock_;
 
     // per group: hybrid assist jobs attached to its in-flight pass
     std::vector<std::vector<Request *>> hybrid_assists_;
@@ -353,8 +343,8 @@ class Instance
     /** Bumped by crash(); completion events capture it and no-op when
      *  stale, severing the dead incarnation's in-flight work. */
     std::uint64_t epoch_ = 0;
-    obs::TraceRecorder *trace_ = nullptr;
-    audit::SimAuditor *audit_ = nullptr;
+    obs::Probe *probe_ = nullptr;
+    obs::OwnerId owner_ = obs::kNoOwner;
 
     // telemetry: push histograms (null = off) and precomputed
     // self-profiler source tags for the schedule sites

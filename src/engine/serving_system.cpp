@@ -3,6 +3,7 @@
 #include <stdexcept>
 
 #include "fault/fault_injector.hpp"
+#include "obs/probe.hpp"
 #include "obs/trace_recorder.hpp"
 #include "simcore/simulator.hpp"
 
@@ -77,12 +78,10 @@ ServingSystem::link_attachments(const Attachments &fresh)
                     },
                     help);
     }
-    if (audit_) {
-        faults_->set_audit(audit_.get());
+    if (probe_)
+        faults_->set_probe(probe_.get());
+    if (audit_)
         audit_->set_faults_enabled(true);
-    }
-    if (trace_)
-        faults_->set_trace(trace_.get());
 }
 
 RunResult
@@ -100,14 +99,24 @@ ServingSystem::run(const std::vector<workload::Request> &trace,
         telemetry_ = std::make_unique<obs::Telemetry>(*opts.telemetry);
         fresh.telemetry = telemetry_.get();
     }
+    // One probe carries every subscriber's records. It is created with
+    // the first subscriber and handed to the components once; a later
+    // subscriber only subscribes.
+    obs::DecisionJournal *journal =
+        fresh.telemetry ? fresh.telemetry->journal() : nullptr;
+    if ((journal || opts.tracing || opts.audit) && !probe_) {
+        probe_ = std::make_unique<obs::Probe>();
+        fresh.probe = probe_.get();
+    }
+    if (journal)
+        journal->attach(*probe_, simulator());
     if (opts.tracing && !trace_) {
-        trace_ = std::make_unique<obs::TraceRecorder>(simulator());
-        fresh.trace = trace_.get();
+        trace_ =
+            std::make_unique<obs::TraceRecorder>(simulator(), probe_.get());
     }
     if (opts.audit && !audit_) {
-        audit_ = std::make_unique<audit::SimAuditor>(simulator(),
+        audit_ = std::make_unique<audit::SimAuditor>(simulator(), *probe_,
                                                      *opts.audit);
-        fresh.audit = audit_.get();
     }
     if (opts.faults && !faults_) {
         fault::FaultConfig fc = *opts.faults;

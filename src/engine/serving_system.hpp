@@ -24,6 +24,7 @@
 #include "workload/request.hpp"
 
 namespace windserve::obs {
+class Probe;
 class TraceRecorder;
 }
 namespace windserve::sim {
@@ -53,7 +54,8 @@ struct RunResult {
  * (trace recorder, invariant auditor, chaos engine, telemetry). Each
  * attachment is created, wired, and cross-linked by run() itself, in a
  * fixed order, so a configured run is a pure function of (RunOptions,
- * trace, seed).
+ * trace, seed). The recorder, the auditor and the telemetry's decision
+ * journal are subscribers of one obs::Probe the components report to.
  *
  * An attachment left disabled keeps the run byte-identical to a bare
  * one — tracing, auditing, and an empty fault schedule are all free
@@ -82,12 +84,13 @@ struct RunOptions {
 
 /**
  * The per-run attachments a system wires its components into. Each
- * pointer is nullptr when the matching RunOptions field leaves it off.
+ * pointer is nullptr unless run() created it for this call.
  */
 struct Attachments {
     obs::Telemetry *telemetry = nullptr;
-    obs::TraceRecorder *trace = nullptr;
-    audit::SimAuditor *audit = nullptr;
+    /** The probe every instrumented component reports to: created with
+     *  the run's first trace, audit or journal subscriber. */
+    obs::Probe *probe = nullptr;
     fault::FaultInjector *faults = nullptr;
 };
 
@@ -106,6 +109,10 @@ class ServingSystem
 
     /** Events the run has fired: simulator().events_fired(). */
     std::uint64_t total_events_fired();
+
+    /** The run's probe stream, or nullptr when nothing subscribes. */
+    obs::Probe *probe() { return probe_.get(); }
+    const obs::Probe *probe() const { return probe_.get(); }
 
     /** The attached recorder, or nullptr when tracing is off. */
     obs::TraceRecorder *trace() { return trace_.get(); }
@@ -144,8 +151,8 @@ class ServingSystem
                   double horizon = 7200.0);
 
   protected:
-    // Out-of-line so std::unique_ptr<TraceRecorder> never needs the
-    // complete recorder type in derived translation units.
+    // Out-of-line so std::unique_ptr<TraceRecorder> (and <Probe>) never
+    // need the complete types in derived translation units.
     ServingSystem();
 
     /** Replay the trace on the simulation kernel (system-specific). */
@@ -160,21 +167,23 @@ class ServingSystem
 
     /**
      * Point the system's components at the run's attachments, in the
-     * fixed order telemetry (register instruments, hand out the
-     * decision journal), trace, audit, faults (register fault targets
-     * and recovery hooks). Called by run() with the attachments it
-     * just created, before any of them is armed and before replay.
+     * fixed order telemetry (register instruments), probe (one hand-off
+     * per component), faults (register fault targets and recovery
+     * hooks). Called by run() with the attachments it just created,
+     * before any of them is armed and before replay.
      */
     virtual void wire(const Attachments &a) = 0;
 
   private:
     /** Point the attachments at each other: the injector reports into
-     *  the recorder, the auditor, and the telemetry's fault-counter
-     *  instruments (registered when either side is in @p fresh); the
-     *  auditor relaxes its fatal-crash checks once faults are
-     *  expected. */
+     *  the probe and the telemetry's fault-counter instruments
+     *  (registered when either side is in @p fresh); the auditor admits
+     *  the crash-recovery lifecycle edges once faults are expected. */
     void link_attachments(const Attachments &fresh);
 
+    // The probe outlives its subscribers (declared first, destroyed
+    // last).
+    std::unique_ptr<obs::Probe> probe_;
     std::unique_ptr<obs::Telemetry> telemetry_;
     std::unique_ptr<obs::TraceRecorder> trace_;
     std::unique_ptr<audit::SimAuditor> audit_;

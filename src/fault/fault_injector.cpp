@@ -1,9 +1,7 @@
 #include "fault/fault_injector.hpp"
 
-#include "audit/sim_auditor.hpp"
 #include "engine/instance.hpp"
 #include "hw/transfer_engine.hpp"
-#include "obs/trace_recorder.hpp"
 #include "simcore/simulator.hpp"
 #include "workload/request.hpp"
 
@@ -54,6 +52,18 @@ FaultInjector::set_crash_hook(
         fn)
 {
     crash_hook_ = std::move(fn);
+}
+
+void
+FaultInjector::report(obs::ProbeKind kind, std::string_view target,
+                      std::uint64_t req, double value) const
+{
+    // Faults trace on the "fault" process, one track per target.
+    if (probe_) {
+        const std::string name(target);
+        probe_->emit(kind, probe_->add_owner(name, "fault", name), req,
+                     obs::FaultOp{value});
+    }
 }
 
 void
@@ -137,18 +147,10 @@ FaultInjector::crash_instances(const std::vector<engine::Instance *> &insts,
         crashed.push_back(inst);
         down_until_[inst] = now + repair;
 
-        if (trace_) {
-            trace_->span(obs::Category::Fault, "fault", inst->name(), "down",
-                         now, repair, {obs::num_arg("repair_s", repair)});
-        }
+        report(obs::ProbeKind::InstanceDown, inst->name(), 0, repair);
 
         for (workload::Request *r : inst->crash())
             victims.push_back(r);
-        if (audit_) {
-            audit_->on_instance_crash(inst->name(),
-                                      inst->blocks().used_blocks(),
-                                      inst->swap_pool().used_bytes());
-        }
         // The system sees requests the instance cannot (mid-transfer,
         // mid-migration) and reconciles cross-instance state (backup
         // copies) before any victim is routed anywhere.
@@ -185,10 +187,7 @@ FaultInjector::crash_instances(const std::vector<engine::Instance *> &insts,
         sim_.schedule(repair, [this, inst] {
             down_until_.erase(inst);
             inst->repair();
-            if (trace_) {
-                trace_->instant(obs::Category::Fault, "fault", inst->name(),
-                                "repaired");
-            }
+            report(obs::ProbeKind::InstanceUp, inst->name());
         });
     }
 }
@@ -202,17 +201,10 @@ FaultInjector::do_link(const FaultEvent &ev)
     if (ev.kind == FaultKind::LinkDown) {
         ++link_outages_;
         link.set_rate(ev.param);
-        if (trace_) {
-            trace_->instant(obs::Category::Fault, "fault", link.name,
-                            "link_down",
-                            {obs::num_arg("rate_factor", ev.param)});
-        }
+        report(obs::ProbeKind::LinkDown, link.name, 0, ev.param);
     } else {
         link.set_rate(1.0);
-        if (trace_) {
-            trace_->instant(obs::Category::Fault, "fault", link.name,
-                            "link_up");
-        }
+        report(obs::ProbeKind::LinkUp, link.name);
     }
 }
 
@@ -225,17 +217,10 @@ FaultInjector::do_straggler(const FaultEvent &ev)
     if (ev.kind == FaultKind::StragglerBegin) {
         ++straggler_windows_;
         inst->set_slowdown(ev.param);
-        if (trace_) {
-            trace_->instant(obs::Category::Fault, "fault", inst->name(),
-                            "straggler_begin",
-                            {obs::num_arg("slowdown", ev.param)});
-        }
+        report(obs::ProbeKind::StragglerBegin, inst->name(), 0, ev.param);
     } else {
         inst->set_slowdown(1.0);
-        if (trace_) {
-            trace_->instant(obs::Category::Fault, "fault", inst->name(),
-                            "straggler_end");
-        }
+        report(obs::ProbeKind::StragglerEnd, inst->name());
     }
 }
 
@@ -273,11 +258,8 @@ FaultInjector::abort_request(workload::Request *r)
 {
     ++aborts_;
     recovering_.erase(r->id);
-    audit::transition(audit_, *r, workload::RequestState::Aborted);
-    if (trace_) {
-        trace_->instant(obs::Category::Fault, "fault", "recovery", "abort",
-                        {obs::num_arg("req", static_cast<std::uint64_t>(r->id))});
-    }
+    obs::transition(probe_, *r, workload::RequestState::Aborted);
+    report(obs::ProbeKind::Abort, "recovery", r->id);
 }
 
 void
@@ -290,11 +272,7 @@ FaultInjector::note_decode_ready(workload::Request *r)
     recovery_latency_.add(latency);
     ++recoveries_;
     recovering_.erase(it);
-    if (trace_) {
-        trace_->instant(obs::Category::Fault, "fault", "recovery", "recovered",
-                        {obs::num_arg("req", static_cast<std::uint64_t>(r->id)),
-                         obs::num_arg("latency_s", latency)});
-    }
+    report(obs::ProbeKind::Recovered, "recovery", r->id, latency);
 }
 
 double

@@ -4,8 +4,8 @@
  * components and drives recovery.
  *
  * The injector is owned by one ServingSystem run (the nullable-pointer
- * pattern of TraceRecorder/SimAuditor: no globals, byte-identical
- * results when absent). Systems register their instances and links,
+ * pattern of obs::Probe: no globals, byte-identical results when
+ * absent). Systems register their instances and links,
  * then arm() schedules every FaultPlan event on the simulator:
  *
  *  - InstanceCrash: the instance loses all on-GPU KV and in-flight
@@ -31,10 +31,12 @@
 #include <functional>
 #include <map>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
 #include "fault/fault_plan.hpp"
+#include "obs/probe.hpp"
 #include "simcore/stats.hpp"
 
 namespace windserve::sim {
@@ -46,12 +48,6 @@ class Instance;
 namespace windserve::hw {
 class Channel;
 class SharedChannel;
-}
-namespace windserve::audit {
-class SimAuditor;
-}
-namespace windserve::obs {
-class TraceRecorder;
 }
 namespace windserve::workload {
 struct Request;
@@ -108,8 +104,10 @@ class FaultInjector
     void set_crash_hook(
         std::function<void(engine::Instance &, std::vector<workload::Request *> &)> fn);
 
-    void set_audit(audit::SimAuditor *a) { audit_ = a; }
-    void set_trace(obs::TraceRecorder *rec) { trace_ = rec; }
+    /** Report every fault, abort and recovery to @p p (traced on the
+     *  "fault" process, one track per target plus "recovery") and
+     *  route aborts' state changes through it. */
+    void set_probe(obs::Probe *p) { probe_ = p; }
 
     /** System hook receiving control-plane fault events (LeaderCrash,
      *  ControlPartition). The owner routes them into its
@@ -183,6 +181,10 @@ class FaultInjector
     void do_link(const FaultEvent &ev);
     void do_straggler(const FaultEvent &ev);
     void abort_request(workload::Request *r);
+    /** Report @p kind about @p target (and request @p req), with the
+     *  fault's parameter @p value. */
+    void report(obs::ProbeKind kind, std::string_view target,
+                std::uint64_t req = 0, double value = 0.0) const;
 
     /** Shared crash path: take every up instance in @p insts down with
      *  one repair time, sweep and deduplicate victims across them, and
@@ -199,8 +201,7 @@ class FaultInjector
     std::function<void(engine::Instance &, std::vector<workload::Request *> &)>
         crash_hook_;
     std::function<void(const FaultEvent &)> ctrl_fault_;
-    audit::SimAuditor *audit_ = nullptr;
-    obs::TraceRecorder *trace_ = nullptr;
+    obs::Probe *probe_ = nullptr;
 
     std::unordered_map<engine::Instance *, double> down_until_;
     std::map<workload::RequestId, Recovering> recovering_;

@@ -5,8 +5,6 @@
 #include <limits>
 #include <stdexcept>
 
-#include "audit/sim_auditor.hpp"
-#include "obs/trace_recorder.hpp"
 
 namespace windserve::hw {
 
@@ -24,8 +22,9 @@ Channel::submit(double bytes, std::function<void()> on_complete)
     if (bytes < 0.0)
         throw std::invalid_argument("Channel::submit: negative bytes");
     TransferId id = next_id_++;
-    if (audit_)
-        audit_->on_transfer_submit(name_, id, bytes);
+    if (probe_)
+        probe_->emit(obs::ProbeKind::XferSubmit, owner_, id,
+                     obs::LinkOp{bytes});
     done_[id] = false;
     total_bytes_ += bytes;
     queue_.push_back(Transfer{id, bytes, 0.0, std::move(on_complete)});
@@ -108,16 +107,11 @@ Channel::finish_active()
     active_.reset();
     done_[done->id] = true;
     ++completed_;
-    if (audit_) {
-        audit_->on_transfer_complete(name_, done->id, done->bytes,
-                                     active_begun_, sim_.now(),
-                                     link_.bandwidth, link_.latency);
-    }
-    if (trace_) {
-        trace_->span(obs::Category::Transfer, trace_process_, trace_track_,
-                     "xfer", active_begun_, sim_.now() - active_begun_,
-                     {obs::num_arg("bytes", done->bytes),
-                      obs::num_arg("id", done->id)});
+    if (probe_) {
+        probe_->emit(obs::ProbeKind::XferComplete, owner_, done->id,
+                     obs::LinkOp{done->bytes, false, active_begun_,
+                                 sim_.now(), link_.bandwidth,
+                                 link_.latency});
     }
     if (queue_.empty())
         util_.set_busy(sim_.now(), false);
@@ -138,8 +132,10 @@ Channel::append(TransferId id, double bytes)
         return;
     auto it = done_.find(id);
     bool open = it != done_.end() && !it->second;
-    if (audit_)
-        audit_->on_transfer_append(name_, id, bytes, open);
+    if (probe_) {
+        probe_->emit(obs::ProbeKind::XferAppend, owner_, id,
+                     obs::LinkOp{bytes, open});
+    }
     if (it == done_.end())
         throw std::invalid_argument("Channel::append: unknown transfer");
     if (it->second)
@@ -195,18 +191,11 @@ Channel::mean_utilization(sim::SimTime now)
 }
 
 void
-Channel::set_trace(obs::TraceRecorder *rec, std::string process,
-                   std::string track)
+Channel::set_probe(obs::Probe *p, const std::string &process,
+                   const std::string &track)
 {
-    trace_ = rec;
-    trace_process_ = std::move(process);
-    trace_track_ = std::move(track);
-}
-
-void
-Channel::set_audit(audit::SimAuditor *a)
-{
-    audit_ = a;
+    probe_ = p;
+    owner_ = p ? p->add_owner(name_, process, track) : obs::kNoOwner;
 }
 
 // ---------------------------------------------------------------------------
@@ -245,8 +234,9 @@ SharedChannel::submit(double bytes, std::function<void()> on_complete)
     if (bytes < 0.0)
         throw std::invalid_argument("SharedChannel::submit: negative bytes");
     TransferId id = next_id_++;
-    if (audit_)
-        audit_->on_transfer_submit(name_, id, bytes);
+    if (probe_)
+        probe_->emit(obs::ProbeKind::XferSubmit, owner_, id,
+                     obs::LinkOp{bytes});
     done_[id] = false;
     total_bytes_ += bytes;
     settle();
@@ -356,16 +346,10 @@ SharedChannel::on_boundary()
     for (Active &a : ready) {
         done_[a.id] = true;
         ++completed_;
-        if (audit_) {
-            audit_->on_transfer_complete(name_, a.id, a.bytes, a.begun,
-                                         sim_.now(), link_.bandwidth,
-                                         link_.latency);
-        }
-        if (trace_) {
-            trace_->span(obs::Category::Transfer, trace_process_,
-                         trace_track_, "xfer", a.begun, sim_.now() - a.begun,
-                         {obs::num_arg("bytes", a.bytes),
-                          obs::num_arg("id", a.id)});
+        if (probe_) {
+            probe_->emit(obs::ProbeKind::XferComplete, owner_, a.id,
+                         obs::LinkOp{a.bytes, false, a.begun, sim_.now(),
+                                     link_.bandwidth, link_.latency});
         }
         if (a.on_complete)
             a.on_complete();
@@ -426,18 +410,11 @@ SharedChannel::mean_utilization(sim::SimTime now)
 }
 
 void
-SharedChannel::set_trace(obs::TraceRecorder *rec, std::string process,
-                         std::string track)
+SharedChannel::set_probe(obs::Probe *p, const std::string &process,
+                         const std::string &track)
 {
-    trace_ = rec;
-    trace_process_ = std::move(process);
-    trace_track_ = std::move(track);
-}
-
-void
-SharedChannel::set_audit(audit::SimAuditor *a)
-{
-    audit_ = a;
+    probe_ = p;
+    owner_ = p ? p->add_owner(name_, process, track) : obs::kNoOwner;
 }
 
 } // namespace windserve::hw

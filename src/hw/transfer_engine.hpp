@@ -24,15 +24,9 @@
 #include <unordered_map>
 
 #include "hw/topology.hpp"
+#include "obs/probe.hpp"
 #include "simcore/simulator.hpp"
 #include "simcore/utilization.hpp"
-
-namespace windserve::audit {
-class SimAuditor;
-}
-namespace windserve::obs {
-class TraceRecorder;
-}
 
 namespace windserve::hw {
 
@@ -94,17 +88,11 @@ class Channel
     /** Time-averaged busy fraction of the channel. */
     double mean_utilization(sim::SimTime now);
 
-    /**
-     * Record each completed transfer as an occupancy span on
-     * @p process / @p track of @p rec (nullptr disables, the default).
-     */
-    void set_trace(obs::TraceRecorder *rec, std::string process,
-                   std::string track);
-
-    /** Report submit/append/complete events to @p a under this channel's
-     *  name; completion hooks carry enough to check the link's physical
-     *  capacity bound. nullptr (the default) disables auditing. */
-    void set_audit(audit::SimAuditor *a);
+    /** Report submit/append/complete to @p p as the row of this
+     *  channel's name, traced on @p process / @p track. nullptr (the
+     *  default) disables reporting. */
+    void set_probe(obs::Probe *p, const std::string &process,
+                   const std::string &track);
 
     /**
      * Scale the effective bandwidth (fault injection): 1.0 is nominal,
@@ -149,10 +137,8 @@ class Channel
     double total_bytes_ = 0.0;
     std::uint64_t completed_ = 0;
     sim::UtilizationTracker util_;
-    obs::TraceRecorder *trace_ = nullptr;
-    std::string trace_process_;
-    std::string trace_track_;
-    audit::SimAuditor *audit_ = nullptr;
+    obs::Probe *probe_ = nullptr;
+    obs::OwnerId owner_ = obs::kNoOwner;
 };
 
 /**
@@ -214,14 +200,9 @@ class SharedChannel
     /** Time-averaged busy fraction of the link. */
     double mean_utilization(sim::SimTime now);
 
-    /** Record each completed transfer as an occupancy span on
-     *  @p process / @p track of @p rec (nullptr disables). */
-    void set_trace(obs::TraceRecorder *rec, std::string process,
-                   std::string track);
-
-    /** Report submit/complete events to @p a under this channel's name
-     *  (same hooks as Channel). nullptr (the default) disables. */
-    void set_audit(audit::SimAuditor *a);
+    /** Report submit/complete to @p p, as Channel::set_probe. */
+    void set_probe(obs::Probe *p, const std::string &process,
+                   const std::string &track);
 
     /** Scale the total bandwidth (fault injection): 1.0 nominal, (0,1)
      *  degraded, 0 stalls the link until a later restore. */
@@ -264,10 +245,8 @@ class SharedChannel
     double total_bytes_ = 0.0;
     std::uint64_t completed_ = 0;
     sim::UtilizationTracker util_;
-    obs::TraceRecorder *trace_ = nullptr;
-    std::string trace_process_;
-    std::string trace_track_;
-    audit::SimAuditor *audit_ = nullptr;
+    obs::Probe *probe_ = nullptr;
+    obs::OwnerId owner_ = obs::kNoOwner;
 };
 
 } // namespace windserve::hw

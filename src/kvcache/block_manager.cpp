@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "audit/sim_auditor.hpp"
-
 namespace windserve::kvcache {
 
 BlockManager::BlockManager(std::size_t total_blocks, std::size_t block_size)
@@ -32,9 +30,10 @@ BlockManager::allocate(ReqId id, std::size_t tokens)
     std::size_t need = blocks_for(tokens);
     bool fresh = per_req_.find(id) == nullptr;
     bool fits = need <= free_blocks();
-    if (audit_) {
-        audit_->on_kv_alloc(audit_owner_, id, tokens, need, fresh && fits,
-                            used_blocks_, total_blocks_);
+    if (probe_) {
+        probe_->emit(obs::ProbeKind::KvAlloc, owner_, id,
+                     obs::KvOp{tokens, need, fresh && fits, used_blocks_,
+                               total_blocks_});
     }
     if (!fresh)
         throw std::logic_error("BlockManager::allocate: id already held");
@@ -55,10 +54,10 @@ BlockManager::grow(ReqId id, std::size_t new_tokens)
     std::size_t need = blocks_for(new_tokens);
     std::size_t extra = known && need > a->blocks ? need - a->blocks : 0;
     bool fits = extra <= free_blocks();
-    if (audit_) {
-        audit_->on_kv_grow(audit_owner_, id, new_tokens, need,
-                           known && growing && fits, used_blocks_,
-                           total_blocks_);
+    if (probe_) {
+        probe_->emit(obs::ProbeKind::KvGrow, owner_, id,
+                     obs::KvOp{new_tokens, need, known && growing && fits,
+                               used_blocks_, total_blocks_});
     }
     if (!known)
         throw std::logic_error("BlockManager::grow: unknown id");
@@ -78,9 +77,10 @@ BlockManager::release(ReqId id)
 {
     Alloc *a = per_req_.find(id);
     bool known = a != nullptr;
-    if (audit_) {
-        audit_->on_kv_release(audit_owner_, id, known ? a->blocks : 0, known,
-                              used_blocks_);
+    if (probe_) {
+        probe_->emit(obs::ProbeKind::KvRelease, owner_, id,
+                     obs::KvOp{0, known ? a->blocks : 0, known, used_blocks_,
+                               total_blocks_});
     }
     if (!known)
         return;
@@ -119,13 +119,6 @@ BlockManager::occupancy() const
     return total_blocks_ ? static_cast<double>(used_blocks_) /
                                static_cast<double>(total_blocks_)
                          : 1.0;
-}
-
-void
-BlockManager::set_audit(audit::SimAuditor *a, std::string owner)
-{
-    audit_ = a;
-    audit_owner_ = std::move(owner);
 }
 
 } // namespace windserve::kvcache

@@ -14,11 +14,8 @@
 #include <string>
 #include <vector>
 
+#include "obs/probe.hpp"
 #include "simcore/flat_id_map.hpp"
-
-namespace windserve::audit {
-class SimAuditor;
-}
 
 namespace windserve::kvcache {
 
@@ -87,14 +84,16 @@ class BlockManager
     /** Total tokens stored across all holders. */
     std::size_t total_tokens() const { return total_tokens_; }
 
-    /**
-     * Report every allocate/grow/release to @p a under @p owner (the
-     * instance name). nullptr (the default) disables auditing. Hooks
-     * fire BEFORE the operation applies — and before the manager's own
-     * logic_error throws — so the auditor can attach the repro seed to
-     * the first inconsistent event.
-     */
-    void set_audit(audit::SimAuditor *a, std::string owner);
+    /** Report every allocate/grow/release to @p p as @p owner (the
+     *  instance's row; nullptr disables). Records fire BEFORE the
+     *  operation applies — and before the manager's own logic_error
+     *  throws — so the auditor can attach the repro seed to the first
+     *  inconsistent event. */
+    void set_probe(obs::Probe *p, obs::OwnerId owner)
+    {
+        probe_ = p;
+        owner_ = owner;
+    }
 
   private:
     /** One request's allocation. */
@@ -110,8 +109,8 @@ class BlockManager
     /** Per-request allocations, in a flat table: every KV block
      *  crossing of a decode member looks one up. */
     sim::FlatIdMap<Alloc> per_req_;
-    audit::SimAuditor *audit_ = nullptr;
-    std::string audit_owner_;
+    obs::Probe *probe_ = nullptr;
+    obs::OwnerId owner_ = obs::kNoOwner;
 };
 
 } // namespace windserve::kvcache

@@ -3,9 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "audit/sim_auditor.hpp"
-#include "obs/trace_recorder.hpp"
-
 namespace windserve::kvcache {
 
 SwapPool::SwapPool(double capacity_bytes, double bytes_per_token)
@@ -21,9 +18,10 @@ SwapPool::swap_out(ReqId id, std::size_t tokens)
     bool held = tokens_.count(id) > 0;
     double bytes = bytes_for(tokens);
     bool fits = used_bytes_ + bytes <= capacity_bytes_;
-    if (audit_) {
-        audit_->on_swap_out(audit_owner_, id, tokens, bytes, !held && fits,
-                            held, used_bytes_, capacity_bytes_);
+    if (probe_) {
+        probe_->emit(obs::ProbeKind::SwapOut, owner_, id,
+                     obs::PoolOp{tokens, bytes, !held && fits, held,
+                                 used_bytes_, capacity_bytes_});
     }
     if (held)
         throw std::logic_error("SwapPool::swap_out: id already swapped");
@@ -33,8 +31,6 @@ SwapPool::swap_out(ReqId id, std::size_t tokens)
     used_bytes_ += bytes;
     ++swap_out_events_;
     swapped_bytes_total_ += bytes;
-    if (trace_)
-        trace_->counter(trace_process_, "swap_pool_bytes", used_bytes_);
     return true;
 }
 
@@ -42,18 +38,20 @@ void
 SwapPool::swap_in(ReqId id)
 {
     auto it = tokens_.find(id);
-    if (audit_)
-        audit_->on_swap_in(audit_owner_, id, it != tokens_.end(),
-                           used_bytes_);
-    if (it == tokens_.end())
+    const bool known = it != tokens_.end();
+    const std::size_t tokens = known ? it->second : 0;
+    double bytes = bytes_for(tokens);
+    if (probe_) {
+        probe_->emit(obs::ProbeKind::SwapIn, owner_, id,
+                     obs::PoolOp{tokens, bytes, known, false, used_bytes_,
+                                 capacity_bytes_});
+    }
+    if (!known)
         throw std::logic_error("SwapPool::swap_in: id not swapped");
-    double bytes = bytes_for(it->second);
     used_bytes_ -= bytes;
     swapped_bytes_total_ += bytes;
     ++swap_in_events_;
     tokens_.erase(it);
-    if (trace_)
-        trace_->counter(trace_process_, "swap_pool_bytes", used_bytes_);
 }
 
 void
@@ -64,13 +62,15 @@ SwapPool::drop(ReqId id)
         return; // nothing to discard
     // Ledger-wise a drop is a swap-in that skips the DMA: the auditor
     // credits the bytes back against this id.
-    if (audit_)
-        audit_->on_swap_in(audit_owner_, id, true, used_bytes_);
-    used_bytes_ -= bytes_for(it->second);
+    const double bytes = bytes_for(it->second);
+    if (probe_) {
+        probe_->emit(obs::ProbeKind::SwapDrop, owner_, id,
+                     obs::PoolOp{it->second, bytes, true, false, used_bytes_,
+                                 capacity_bytes_});
+    }
+    used_bytes_ -= bytes;
     ++drops_;
     tokens_.erase(it);
-    if (trace_)
-        trace_->counter(trace_process_, "swap_pool_bytes", used_bytes_);
 }
 
 std::vector<ReqId>
@@ -95,20 +95,6 @@ double
 SwapPool::bytes_for(std::size_t tokens) const
 {
     return static_cast<double>(tokens) * bytes_per_token_;
-}
-
-void
-SwapPool::set_trace(obs::TraceRecorder *rec, std::string process)
-{
-    trace_ = rec;
-    trace_process_ = std::move(process);
-}
-
-void
-SwapPool::set_audit(audit::SimAuditor *a, std::string owner)
-{
-    audit_ = a;
-    audit_owner_ = std::move(owner);
 }
 
 } // namespace windserve::kvcache

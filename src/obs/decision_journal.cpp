@@ -1,24 +1,11 @@
 #include "obs/decision_journal.hpp"
 
 #include <cstdio>
+#include <string>
+
+#include "simcore/simulator.hpp"
 
 namespace windserve::obs {
-
-const char *
-to_string(DecisionKind k)
-{
-    switch (k) {
-      case DecisionKind::Dispatch:
-        return "dispatch";
-      case DecisionKind::Reschedule:
-        return "reschedule";
-      case DecisionKind::Redispatch:
-        return "redispatch";
-      case DecisionKind::Failover:
-        return "failover";
-    }
-    return "unknown";
-}
 
 namespace {
 
@@ -53,8 +40,87 @@ json_escape(const std::string &s)
 
 } // namespace
 
+void
+DecisionJournal::attach(Probe &probe, const sim::Simulator &clock)
+{
+    clock_ = &clock;
+    probe.subscribe(*this, kKinds);
+}
+
+void
+DecisionJournal::on_record(const Record &r)
+{
+    auto num = [](auto v) { return static_cast<double>(v); };
+    Decision d;
+    d.time = clock_->now();
+    d.kind = r.kind;
+    d.request = r.id;
+    switch (r.kind) {
+      case ProbeKind::Dispatch: {
+        // Algorithm 1: both candidates with the loads that scored them.
+        const DispatchOp &op = r.as<DispatchOp>();
+        d.chosen = op.to_decode ? "decode" : "prefill";
+        d.reason = op.reason;
+        d.candidates = {
+            {"prefill",
+             true,
+             {{"predicted_ttft", op.predicted_ttft},
+              {"thrd", op.thrd},
+              {"queued_tokens", op.queued_tokens},
+              {"inflight_remaining", op.inflight_remaining}}},
+            {"decode",
+             op.slots >= op.prompt_tokens,
+             {{"available_slots", num(op.slots)},
+              {"prompt_tokens", num(op.prompt_tokens)}}}};
+        break;
+      }
+      case ProbeKind::Reschedule: {
+        const RescheduleOp &op = r.as<RescheduleOp>();
+        d.chosen = op.started ? "migrate-to-prefill" : "";
+        d.reason = op.reason;
+        d.candidates = {{"migrate-to-prefill",
+                         op.started,
+                         {{"decode_occupancy", op.occupancy},
+                          {"trigger", op.trigger},
+                          {"active_migrations", num(op.active_migrations)},
+                          {"migrated_resident", num(op.migrated_resident)},
+                          {"victim_ctx", num(op.victim_ctx)}}}};
+        break;
+      }
+      case ProbeKind::Redispatch: {
+        const RedispatchOp &op = r.as<RedispatchOp>();
+        d.chosen = op.resumable ? "resume-backup" : "recompute";
+        d.reason = op.resumable ? "backup_covers_prompt" : "no_usable_backup";
+        d.candidates = {
+            {"resume-backup",
+             op.resumable,
+             {{"backed_up_tokens", num(op.backed_up_tokens)},
+              {"prompt_tokens", num(op.prompt_tokens)},
+              {"prefill_up", op.prefill_up ? 1.0 : 0.0}}},
+            {"recompute", true, {{"prompt_tokens", num(op.prompt_tokens)}}}};
+        break;
+      }
+      case ProbeKind::Failover: {
+        // A control-plane failover: every replica with its term.
+        const ElectionOp &op = r.as<ElectionOp>();
+        for (std::size_t j = 0; j < op.replicas->size(); ++j) {
+            const ReplicaView &v = (*op.replicas)[j];
+            d.candidates.push_back({"replica" + std::to_string(j),
+                                    v.alive,
+                                    {{"term", num(v.term)}}});
+        }
+        d.chosen = "replica" + std::to_string(op.replica);
+        d.reason = op.initial ? "initial-election" : "leader-failover";
+        break;
+      }
+      default:
+        return;
+    }
+    entries_.push_back(std::move(d));
+}
+
 std::size_t
-DecisionJournal::count(DecisionKind k) const
+DecisionJournal::count(ProbeKind k) const
 {
     std::size_t n = 0;
     for (const Decision &d : entries_)
@@ -80,7 +146,7 @@ DecisionJournal::csv() const
         "time,kind,request,chosen,reason,candidate,feasible,scores\n";
     for (const Decision &d : entries_) {
         const std::string prefix = fmt_num(d.time) + "," +
-                                   to_string(d.kind) + "," +
+                                   to_cstring(d.kind) + "," +
                                    std::to_string(d.request) + "," +
                                    d.chosen + "," + d.reason + ",";
         if (d.candidates.empty()) {
@@ -111,7 +177,7 @@ DecisionJournal::json() const
         if (i > 0)
             out += ",";
         out += "\n  {\"time\": " + fmt_num(d.time) + ", \"kind\": \"" +
-               to_string(d.kind) + "\", \"request\": " +
+               to_cstring(d.kind) + "\", \"request\": " +
                std::to_string(d.request) + ", \"chosen\": \"" +
                json_escape(d.chosen) + "\", \"reason\": \"" +
                json_escape(d.reason) + "\", \"candidates\": [";

@@ -11,11 +11,14 @@
  * the chosen target, so a post-run query can answer "why did request
  * 1042 prefill on the decode instance?" without rerunning.
  *
- * Entries are appended in simulation order by the deciding component
- * (a nullable pointer, the same zero-cost-off pattern as tracing), so
- * the journal is a pure function of (config, workload) — byte-identical
- * at any `--jobs N`. Export targets: a flat CSV (one row per candidate)
- * and a JSON document (one object per decision).
+ * The journal is a subscriber of the run's obs::Probe: the deciding
+ * components report each deliberation once, with the evidence that
+ * scored it, and on_record() assembles the Decision (candidate names,
+ * score names, chosen target) here, so no component knows the journal
+ * format. Entries arrive in simulation order, so the journal is a pure
+ * function of (config, workload) — byte-identical at any `--jobs N`.
+ * Export targets: a flat CSV (one row per candidate) and a JSON
+ * document (one object per decision).
  */
 #pragma once
 
@@ -24,17 +27,13 @@
 #include <utility>
 #include <vector>
 
+#include "obs/probe.hpp"
+
+namespace windserve::sim {
+class Simulator;
+}
+
 namespace windserve::obs {
-
-/** Which scheduling mechanism produced the entry. */
-enum class DecisionKind {
-    Dispatch,   ///< Algorithm 1: where a new request's prefill runs
-    Reschedule, ///< dynamic rescheduling under decode memory pressure
-    Redispatch, ///< post-fault re-dispatch of a crash victim
-    Failover,   ///< control-plane leader election (replica takeover)
-};
-
-const char *to_string(DecisionKind k);
 
 /** One candidate target the scheduler weighed. */
 struct DecisionOption {
@@ -47,7 +46,8 @@ struct DecisionOption {
 /** One recorded decision. */
 struct Decision {
     double time = 0.0;
-    DecisionKind kind = DecisionKind::Dispatch;
+    /** Dispatch, Reschedule, Redispatch or Failover. */
+    ProbeKind kind = ProbeKind::Dispatch;
     std::uint64_t request = 0;
     std::vector<DecisionOption> candidates;
     std::string chosen; ///< target of the winning candidate ("" = none)
@@ -55,20 +55,29 @@ struct Decision {
 };
 
 /** See file comment. */
-class DecisionJournal
+class DecisionJournal : public Subscriber
 {
   public:
+    /** The kinds the journal keeps. */
+    static constexpr KindMask kKinds =
+        kinds_of({ProbeKind::Dispatch, ProbeKind::Reschedule,
+                  ProbeKind::Redispatch, ProbeKind::Failover});
+
     DecisionJournal() = default;
     DecisionJournal(const DecisionJournal &) = delete;
     DecisionJournal &operator=(const DecisionJournal &) = delete;
 
-    void record(Decision d) { entries_.push_back(std::move(d)); }
+    /** Subscribe to @p probe, stamping decisions with @p clock's time. */
+    void attach(Probe &probe, const sim::Simulator &clock);
+
+    /** Append the Decision one record describes. */
+    void on_record(const Record &r) override;
 
     const std::vector<Decision> &entries() const { return entries_; }
     std::size_t size() const { return entries_.size(); }
 
     /** Entries of one kind. */
-    std::size_t count(DecisionKind k) const;
+    std::size_t count(ProbeKind k) const;
 
     /** All decisions that touched @p request, in simulation order. */
     std::vector<const Decision *> for_request(std::uint64_t request) const;
@@ -82,6 +91,7 @@ class DecisionJournal
     std::string json() const;
 
   private:
+    const sim::Simulator *clock_ = nullptr;
     std::vector<Decision> entries_;
 };
 

@@ -7,8 +7,9 @@
  *  - a MetricRegistry the system's components register instruments on
  *    (ServingSystem::wire()), sampled every `sample_every` simulated
  *    seconds;
- *  - a DecisionJournal the scheduler appends dispatch / reschedule /
- *    re-dispatch decisions to;
+ *  - a DecisionJournal that subscribes to the run's probe stream and
+ *    keeps the dispatch / reschedule / re-dispatch / failover
+ *    decisions;
  *  - a sim::PumpProfiler attributing fired events (and host wall-clock)
  *    to named event sources.
  *
@@ -63,8 +64,8 @@ class Telemetry
     MetricRegistry &registry() { return registry_; }
     const MetricRegistry &registry() const { return registry_; }
 
-    /** The journal, or nullptr when cfg.journal is off — components
-     *  hold the nullable pointer (zero-cost-off, like tracing). */
+    /** The journal, or nullptr when cfg.journal is off; the system
+     *  subscribes it to the run's probe (ServingSystem::run()). */
     DecisionJournal *journal()
     {
         return cfg_.journal ? &journal_ : nullptr;

@@ -50,7 +50,152 @@ str_arg(std::string key, std::string value)
     return TraceArg{std::move(key), std::move(value), true};
 }
 
-TraceRecorder::TraceRecorder(const sim::Simulator &sim) : sim_(sim) {}
+TraceRecorder::TraceRecorder(const sim::Simulator &sim, Probe *probe)
+    : sim_(sim), probe_(probe)
+{
+    if (probe)
+        probe->subscribe(*this, kKinds);
+}
+
+void
+TraceRecorder::on_record(const Record &r)
+{
+    const Owner &o = probe_->owner(r.owner);
+    const std::uint64_t req = r.id;
+    auto u64 = [](std::size_t v) { return static_cast<std::uint64_t>(v); };
+    // Local-scheduler decisions of an instance, and fault milestones on
+    // the fault target's track.
+    auto sched = [&](const char *name, std::vector<TraceArg> args) {
+        instant(Category::Scheduler, o.process, "local-scheduler", name,
+                std::move(args));
+    };
+    auto fault = [&](const char *name, std::vector<TraceArg> args = {}) {
+        instant(Category::Fault, o.process, o.track, name, std::move(args));
+    };
+    switch (r.kind) {
+      case ProbeKind::SwapOut:
+      case ProbeKind::SwapIn:
+      case ProbeKind::SwapDrop: {
+        // Host-pool occupancy after every accepted swap event, then the
+        // local scheduler's preemption or resumption it carried out.
+        const PoolOp &op = r.as<PoolOp>();
+        const bool out = r.kind == ProbeKind::SwapOut;
+        if (!op.applied)
+            break;
+        counter(o.process, "swap_pool_bytes",
+                out ? op.used + op.bytes : op.used - op.bytes);
+        if (r.kind != ProbeKind::SwapDrop) {
+            sched(out ? "swap-out" : "swap-in",
+                  {num_arg("req", req), num_arg("ctx", u64(op.tokens))});
+        }
+        break;
+      }
+      case ProbeKind::XferComplete: {
+        const LinkOp &op = r.as<LinkOp>();
+        span(Category::Transfer, o.process, o.track, "xfer", op.begun,
+             op.end - op.begun,
+             {num_arg("bytes", op.bytes), num_arg("id", req)});
+        break;
+      }
+      case ProbeKind::PrefillPass: {
+        const Pass &p = r.as<Pass>();
+        sched("prefill-batch", {num_arg("requests", u64(p.requests)),
+                                num_arg("tokens", u64(p.tokens))});
+        span(Category::Gpu, o.process, "slot" + std::to_string(p.lane),
+             "prefill", now(), p.dur,
+             {num_arg("tokens", u64(p.tokens)),
+              num_arg("requests", u64(p.requests))});
+        break;
+      }
+      case ProbeKind::SbdPass: {
+        const Pass &p = r.as<Pass>();
+        sched("stream-split", {num_arg("requests", u64(p.requests)),
+                               num_arg("tokens", u64(p.tokens))});
+        span(Category::Gpu, o.process, "sbd-stream", "sbd-prefill", now(),
+             p.dur, {num_arg("tokens", u64(p.tokens))});
+        break;
+      }
+      case ProbeKind::DecodePass: {
+        const Pass &p = r.as<Pass>();
+        span(Category::Gpu, o.process, "group" + std::to_string(p.lane),
+             p.mode, now(), p.dur,
+             {num_arg("batch", u64(p.requests)),
+              num_arg("sum_context", u64(p.tokens)),
+              num_arg("chunk_tokens", u64(p.chunk_tokens)),
+              num_arg("assist_tokens", u64(p.assist_tokens))});
+        break;
+      }
+      case ProbeKind::ChunkAdmit:
+        sched("chunk-admit", {num_arg("req", req),
+                              num_arg("tokens", u64(r.as<Tokens>().tokens))});
+        break;
+      case ProbeKind::Migrated:
+      case ProbeKind::MigrateAbort:
+      case ProbeKind::BackedUp: {
+        const KvCopy &c = r.as<KvCopy>();
+        std::vector<TraceArg> args{num_arg("req", req)};
+        if (c.has_ctx)
+            args.push_back(num_arg("ctx", u64(c.ctx)));
+        span(Category::Transfer, o.process, o.track,
+             r.kind == ProbeKind::Migrated       ? "migrate"
+             : r.kind == ProbeKind::MigrateAbort ? "migrate-abort"
+                                                 : "kv-backup",
+             c.started, now() - c.started, std::move(args));
+        break;
+      }
+      case ProbeKind::Dispatch: {
+        const DispatchOp &d = r.as<DispatchOp>();
+        if (d.to_decode) {
+            instant(Category::Scheduler, o.process, o.track,
+                    "dispatch-to-decode",
+                    {num_arg("req", req),
+                     num_arg("tokens", u64(d.prompt_tokens)),
+                     num_arg("predicted_ttft", d.predicted_ttft)});
+        }
+        break;
+      }
+      case ProbeKind::Reschedule: {
+        const RescheduleOp &op = r.as<RescheduleOp>();
+        if (op.started) {
+            instant(Category::Scheduler, o.process, o.track, "reschedule",
+                    {num_arg("req", req), num_arg("ctx", u64(op.victim_ctx)),
+                     num_arg("decode_occupancy", op.occupancy)});
+        }
+        break;
+      }
+      case ProbeKind::InstanceDown: {
+        const double repair = r.as<FaultOp>().value;
+        span(Category::Fault, o.process, o.track, "down", now(), repair,
+             {num_arg("repair_s", repair)});
+        break;
+      }
+      case ProbeKind::InstanceUp:
+        fault("repaired");
+        break;
+      case ProbeKind::LinkDown:
+        fault("link_down", {num_arg("rate_factor", r.as<FaultOp>().value)});
+        break;
+      case ProbeKind::LinkUp:
+        fault("link_up");
+        break;
+      case ProbeKind::StragglerBegin:
+        fault("straggler_begin",
+              {num_arg("slowdown", r.as<FaultOp>().value)});
+        break;
+      case ProbeKind::StragglerEnd:
+        fault("straggler_end");
+        break;
+      case ProbeKind::Abort:
+        fault("abort", {num_arg("req", req)});
+        break;
+      case ProbeKind::Recovered:
+        fault("recovered", {num_arg("req", req),
+                            num_arg("latency_s", r.as<FaultOp>().value)});
+        break;
+      default:
+        break;
+    }
+}
 
 double
 TraceRecorder::now() const

@@ -3,7 +3,6 @@
 #include <memory>
 #include <utility>
 
-#include "audit/sim_auditor.hpp"
 #include "fault/fault_injector.hpp"
 
 namespace windserve::transfer {
@@ -36,20 +35,12 @@ KvTransferManager::bytes_for_tokens(double tokens) const
 }
 
 void
-KvTransferManager::set_trace(obs::TraceRecorder *rec)
+KvTransferManager::set_probe(obs::Probe *p)
 {
-    p2d_.set_trace(rec, "interconnect", cfg_.name_prefix + "kv-p2d");
-    d2p_.set_trace(rec, "interconnect", cfg_.name_prefix + "kv-d2p");
-    staged_.set_trace(rec, "interconnect", cfg_.name_prefix + "kv-staged");
-}
-
-void
-KvTransferManager::set_audit(audit::SimAuditor *a)
-{
-    audit_ = a;
-    p2d_.set_audit(a);
-    d2p_.set_audit(a);
-    staged_.set_audit(a);
+    probe_ = p;
+    p2d_.set_probe(p, "interconnect", cfg_.name_prefix + "kv-p2d");
+    d2p_.set_probe(p, "interconnect", cfg_.name_prefix + "kv-d2p");
+    staged_.set_probe(p, "interconnect", cfg_.name_prefix + "kv-staged");
 }
 
 void
@@ -59,7 +50,7 @@ KvTransferManager::transfer_prefill_kv(workload::Request *r,
     double bytes = bytes_for_tokens(static_cast<double>(r->prompt_tokens));
     if (cfg_.policy == TransferPolicy::Overlapped)
         bytes *= cfg_.overlap_tail_fraction;
-    audit::transition(audit_, *r, workload::RequestState::Transferring);
+    obs::transition(probe_, *r, workload::RequestState::Transferring);
 
     double timeout =
         faults_ ? faults_->policy().transfer_timeout : 0.0;

@@ -22,9 +22,6 @@
 #include "model/model_spec.hpp"
 #include "workload/request.hpp"
 
-namespace windserve::obs {
-class TraceRecorder;
-}
 namespace windserve::fault {
 class FaultInjector;
 }
@@ -53,10 +50,10 @@ struct KvTransferConfig {
      */
     double staged_bandwidth_factor = 0.25;
     /**
-     * Prefix for the three channel names ("kv/p2d" etc.). The auditor
-     * keys its transfer ledgers by channel name, so multi-pod systems
-     * must give each pod's transfer manager a unique prefix (e.g.
-     * "pod3/"). The default empty prefix keeps the historical names.
+     * Prefix for the three channel names ("kv/p2d" etc.). A channel's
+     * name is its owner row's audit name, so multi-pod systems must
+     * give each pod's transfer manager a unique prefix (e.g. "pod3/").
+     * The default empty prefix keeps the historical names.
      */
     std::string name_prefix;
 };
@@ -91,11 +88,9 @@ class KvTransferManager
     /** KV bytes for @p tokens tokens of this model. */
     double bytes_for_tokens(double tokens) const;
 
-    /** Record occupancy spans of both link directions on @p rec. */
-    void set_trace(obs::TraceRecorder *rec);
-
-    /** Audit both link directions and the Transferring transition. */
-    void set_audit(audit::SimAuditor *a);
+    /** Report all three channels (traced as "interconnect" tracks)
+     *  and the Transferring transition to @p p. */
+    void set_probe(obs::Probe *p);
 
     /**
      * Arm the transfer watchdog: when @p inj 's recovery policy sets a
@@ -115,7 +110,7 @@ class KvTransferManager
     hw::Channel p2d_;
     hw::Channel d2p_;
     hw::Channel staged_;
-    audit::SimAuditor *audit_ = nullptr;
+    obs::Probe *probe_ = nullptr;
     fault::FaultInjector *faults_ = nullptr;
 };
 

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "audit/sim_auditor.hpp"
-#include "obs/trace_recorder.hpp"
 #include "simcore/log.hpp"
 
 namespace windserve::transfer {
@@ -20,6 +18,17 @@ MigrationManager::MigrationManager(sim::Simulator &sim,
     : sim_(sim), xfer_(xfer), source_(source), target_(target),
       backups_(backups), cfg_(cfg)
 {}
+
+void
+MigrationManager::report_end(obs::ProbeKind kind, const Migration &m,
+                             std::optional<std::size_t> ctx) const
+{
+    if (probe_) {
+        probe_->emit(kind, owner_, m.req->id,
+                     obs::KvCopy{m.started, ctx.value_or(0),
+                                 ctx.has_value()});
+    }
+}
 
 bool
 MigrationManager::is_migrating(const Request *r) const
@@ -44,7 +53,7 @@ MigrationManager::start(Request *r)
 
     std::size_t backed = backups_.backed_up_tokens(r->id);
     std::size_t to_send = ctx > backed ? ctx - backed : 0;
-    audit::transition(audit_, *r, RequestState::Migrating);
+    obs::transition(probe_, *r, RequestState::Migrating);
     workload::RequestId id = r->id;
     hw::TransferId tid = xfer_.reverse_channel().submit(
         xfer_.bytes_for_tokens(static_cast<double>(to_send)),
@@ -135,19 +144,14 @@ MigrationManager::on_target_crash()
         Migration &m = it->second;
         Request *r = m.req;
         ++aborted_;
-        if (trace_) {
-            trace_->span(obs::Category::Transfer, "interconnect",
-                         "migration", "migrate-abort", m.started,
-                         sim_.now() - m.started,
-                         {obs::num_arg("req", std::uint64_t(id))});
-        }
+        report_end(obs::ProbeKind::MigrateAbort, m);
         bool was_paused = m.paused;
         active_.erase(it);
         // The in-flight copy's completion finds no active entry and
         // no-ops when it drains.
         if (r->finished())
             continue;
-        audit::transition(audit_, *r, RequestState::Decoding);
+        obs::transition(probe_, *r, RequestState::Decoding);
         if (was_paused)
             source_.enqueue_decode(r, /*kv_resident=*/true);
     }
@@ -164,12 +168,7 @@ MigrationManager::complete(workload::RequestId id)
 
     if (m.cancelled || r->finished()) {
         ++aborted_;
-        if (trace_) {
-            trace_->span(obs::Category::Transfer, "interconnect",
-                         "migration", "migrate-abort", m.started,
-                         sim_.now() - m.started,
-                         {obs::num_arg("req", std::uint64_t(id))});
-        }
+        report_end(obs::ProbeKind::MigrateAbort, m);
         active_.erase(it);
         return;
     }
@@ -179,13 +178,8 @@ MigrationManager::complete(workload::RequestId id)
         // Abort and resume decoding at the source, whose KV is intact.
         pause(m);
         ++aborted_;
-        if (trace_) {
-            trace_->span(obs::Category::Transfer, "interconnect",
-                         "migration", "migrate-abort", m.started,
-                         sim_.now() - m.started,
-                         {obs::num_arg("req", std::uint64_t(id))});
-        }
-        audit::transition(audit_, *r, RequestState::Decoding);
+        report_end(obs::ProbeKind::MigrateAbort, m);
+        obs::transition(probe_, *r, RequestState::Decoding);
         active_.erase(it);
         source_.enqueue_decode(r, /*kv_resident=*/true);
         return;
@@ -219,24 +213,13 @@ MigrationManager::complete(workload::RequestId id)
     if (!ok) {
         // Target filled up meanwhile: abort, resume at the source.
         ++aborted_;
-        if (trace_) {
-            trace_->span(obs::Category::Transfer, "interconnect",
-                         "migration", "migrate-abort", m.started,
-                         sim_.now() - m.started,
-                         {obs::num_arg("req", std::uint64_t(id)),
-                          obs::num_arg("ctx", std::uint64_t(ctx))});
-        }
-        audit::transition(audit_, *r, RequestState::Decoding);
+        report_end(obs::ProbeKind::MigrateAbort, m, ctx);
+        obs::transition(probe_, *r, RequestState::Decoding);
         active_.erase(it);
         source_.enqueue_decode(r, /*kv_resident=*/true);
         return;
     }
-    if (trace_) {
-        trace_->span(obs::Category::Transfer, "interconnect", "migration",
-                     "migrate", m.started, sim_.now() - m.started,
-                     {obs::num_arg("req", std::uint64_t(id)),
-                      obs::num_arg("ctx", std::uint64_t(ctx))});
-    }
+    report_end(obs::ProbeKind::Migrated, m, ctx);
     source_.release_kv(r);
     backups_.drop(id);
     ++r->migrations;
@@ -332,12 +315,9 @@ BackupManager::maybe_backup()
             if (gen != generation_)
                 return; // an endpoint crashed mid-copy; disowned
             inflight_.erase(r->id);
-            if (trace_) {
-                trace_->span(obs::Category::Transfer, "interconnect",
-                             "backup", "kv-backup", started,
-                             sim_.now() - started,
-                             {obs::num_arg("req", std::uint64_t(r->id)),
-                              obs::num_arg("ctx", std::uint64_t(ctx))});
+            if (probe_) {
+                probe_->emit(obs::ProbeKind::BackedUp, owner_, r->id,
+                             obs::KvCopy{started, ctx});
             }
             if (r->finished()) {
                 target_.blocks().release(r->id);

@@ -19,6 +19,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -104,11 +105,13 @@ class MigrationManager
 
     const MigrationConfig &config() const { return cfg_; }
 
-    /** Record one span per migration (start -> complete/abort). */
-    void set_trace(obs::TraceRecorder *rec) { trace_ = rec; }
-
-    /** Route the Migrating/abort state transitions through @p a. */
-    void set_audit(audit::SimAuditor *a) { audit_ = a; }
+    /** Report each migration's end and its state changes to @p p. */
+    void set_probe(obs::Probe *p)
+    {
+        probe_ = p;
+        owner_ = p ? p->add_owner("migration", "interconnect", "migration")
+                   : obs::kNoOwner;
+    }
 
   private:
     struct Migration {
@@ -122,6 +125,9 @@ class MigrationManager
 
     void complete(workload::RequestId id);
     void pause(Migration &m);
+    /** Report @p m 's end, with the context it copied when known. */
+    void report_end(obs::ProbeKind kind, const Migration &m,
+                    std::optional<std::size_t> ctx = std::nullopt) const;
 
     sim::Simulator &sim_;
     KvTransferManager &xfer_;
@@ -132,8 +138,8 @@ class MigrationManager
     std::unordered_map<workload::RequestId, Migration> active_;
     std::uint64_t completed_ = 0;
     std::uint64_t aborted_ = 0;
-    obs::TraceRecorder *trace_ = nullptr;
-    audit::SimAuditor *audit_ = nullptr;
+    obs::Probe *probe_ = nullptr;
+    obs::OwnerId owner_ = obs::kNoOwner;
 };
 
 /** Proactive KV prefix backups (decode -> prefill). */
@@ -170,8 +176,13 @@ class BackupManager
      */
     void fault_tolerance_mode();
 
-    /** Record one span per backup copy. */
-    void set_trace(obs::TraceRecorder *rec) { trace_ = rec; }
+    /** Report each landed backup copy to @p p. */
+    void set_probe(obs::Probe *p)
+    {
+        probe_ = p;
+        owner_ = p ? p->add_owner("backup", "interconnect", "backup")
+                   : obs::kNoOwner;
+    }
 
     /** Release target-side blocks when a request completes or migrates. */
     void on_request_done(workload::Request *r);
@@ -207,7 +218,8 @@ class BackupManager
      *  against it and drop out. */
     std::uint64_t generation_ = 0;
     std::uint64_t backups_taken_ = 0;
-    obs::TraceRecorder *trace_ = nullptr;
+    obs::Probe *probe_ = nullptr;
+    obs::OwnerId owner_ = obs::kNoOwner;
 };
 
 } // namespace windserve::transfer

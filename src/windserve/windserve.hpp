@@ -43,8 +43,8 @@
 // observability (structured trace recording + telemetry layer)
 #include "obs/decision_journal.hpp"
 #include "obs/metric_registry.hpp"
+#include "obs/probe.hpp"
 #include "obs/telemetry.hpp"
-#include "obs/trace_event.hpp"
 #include "obs/trace_recorder.hpp"
 
 // runtime invariant auditing

@@ -15,12 +15,14 @@
 #include "hw/transfer_engine.hpp"
 #include "kvcache/block_manager.hpp"
 #include "kvcache/swap_pool.hpp"
+#include "obs/probe.hpp"
 #include "simcore/simulator.hpp"
 
 namespace au = windserve::audit;
 namespace eng = windserve::engine;
 namespace hw = windserve::hw;
 namespace kv = windserve::kvcache;
+namespace obs = windserve::obs;
 namespace sim = windserve::sim;
 namespace wl = windserve::workload;
 namespace hs = windserve::harness;
@@ -55,6 +57,43 @@ expect_violation(const char *invariant, F &&f)
     }
     ADD_FAILURE() << "expected a '" << invariant << "' violation";
     return {};
+}
+
+/** Report to @p p that request @p id was dispatched to the decode
+ *  instance: @p prompt tokens into @p slots available slots. */
+void
+report_dispatch(obs::Probe &p, wl::RequestId id, std::size_t prompt,
+                std::size_t slots)
+{
+    obs::DispatchOp op;
+    op.to_decode = true;
+    op.prompt_tokens = prompt;
+    op.slots = slots;
+    p.emit(obs::ProbeKind::Dispatch, obs::kNoOwner, id, op);
+}
+
+/** Report to @p p that request @p id's migration started at decode
+ *  occupancy @p occupancy against @p trigger. */
+void
+report_reschedule(obs::Probe &p, wl::RequestId id, double occupancy,
+                  double trigger)
+{
+    obs::RescheduleOp op;
+    op.started = true;
+    op.occupancy = occupancy;
+    op.trigger = trigger;
+    p.emit(obs::ProbeKind::Reschedule, obs::kNoOwner, id, op);
+}
+
+/** Report group @p g of instance "d0" starting a pass with @p members
+ *  and cached context sum @p sum. */
+void
+report_group(obs::Probe &p, const eng::DecodeGroup &g,
+             const std::vector<obs::DecodeMemberClock> &members,
+             std::size_t sum)
+{
+    p.emit(obs::ProbeKind::GroupCheck, p.add_owner("d0", "d0"), 0,
+           obs::GroupView{g.id(), &members, sum});
 }
 
 } // namespace
@@ -111,12 +150,13 @@ TEST(AuditLifecycle, TransitionTable)
 TEST(AuditLifecycle, IllegalTransitionThrowsWithRepro)
 {
     sim::Simulator s;
-    au::SimAuditor aud(s, repro_cfg());
+    obs::Probe probe;
+    au::SimAuditor aud(s, probe, repro_cfg());
     wl::Request r;
     r.id = 7;
     r.state = RequestState::Finished;
     au::Violation v = expect_violation("lifecycle-transition", [&] {
-        aud.on_transition(r, RequestState::Decoding);
+        obs::transition(&probe, r, RequestState::Decoding);
     });
     EXPECT_EQ(v.req, 7u);
 }
@@ -124,12 +164,13 @@ TEST(AuditLifecycle, IllegalTransitionThrowsWithRepro)
 TEST(AuditLifecycle, TransitionHelperWorksWithAndWithoutAuditor)
 {
     wl::Request r;
-    au::transition(nullptr, r, RequestState::WaitingPrefill);
+    obs::transition(nullptr, r, RequestState::WaitingPrefill);
     EXPECT_EQ(r.state, RequestState::WaitingPrefill);
 
     sim::Simulator s;
-    au::SimAuditor aud(s);
-    au::transition(&aud, r, RequestState::Prefilling);
+    obs::Probe probe;
+    au::SimAuditor aud(s, probe);
+    obs::transition(&probe, r, RequestState::Prefilling);
     EXPECT_EQ(r.state, RequestState::Prefilling);
     EXPECT_TRUE(aud.ok());
 }
@@ -141,9 +182,10 @@ TEST(AuditLifecycle, TransitionHelperWorksWithAndWithoutAuditor)
 TEST(AuditKv, DoubleFreeCaught)
 {
     sim::Simulator s;
-    au::SimAuditor aud(s, repro_cfg());
+    obs::Probe probe;
+    au::SimAuditor aud(s, probe, repro_cfg());
     kv::BlockManager bm(64);
-    bm.set_audit(&aud, "decode0");
+    bm.set_probe(&probe, probe.add_owner("decode0", "decode0"));
     ASSERT_TRUE(bm.allocate(1, 100));
     bm.release(1);
     EXPECT_TRUE(aud.ok());
@@ -153,9 +195,10 @@ TEST(AuditKv, DoubleFreeCaught)
 TEST(AuditKv, DoubleAllocCaught)
 {
     sim::Simulator s;
-    au::SimAuditor aud(s, repro_cfg());
+    obs::Probe probe;
+    au::SimAuditor aud(s, probe, repro_cfg());
     kv::BlockManager bm(64);
-    bm.set_audit(&aud, "decode0");
+    bm.set_probe(&probe, probe.add_owner("decode0", "decode0"));
     ASSERT_TRUE(bm.allocate(1, 100));
     expect_violation("kv-double-alloc", [&] { bm.allocate(1, 50); });
 }
@@ -163,9 +206,10 @@ TEST(AuditKv, DoubleAllocCaught)
 TEST(AuditKv, GrowOfUnknownIdCaught)
 {
     sim::Simulator s;
-    au::SimAuditor aud(s, repro_cfg());
+    obs::Probe probe;
+    au::SimAuditor aud(s, probe, repro_cfg());
     kv::BlockManager bm(64);
-    bm.set_audit(&aud, "decode0");
+    bm.set_probe(&probe, probe.add_owner("decode0", "decode0"));
     expect_violation("kv-grow-unknown", [&] { bm.grow(9, 32); });
 }
 
@@ -174,22 +218,24 @@ TEST(AuditKv, ShadowLedgerCrossChecksManagerCounter)
     // Desynchronize shadow and manager by mutating the manager while
     // the auditor is detached; the next audited event must notice.
     sim::Simulator s;
-    au::SimAuditor aud(s, repro_cfg());
+    obs::Probe probe;
+    au::SimAuditor aud(s, probe, repro_cfg());
     kv::BlockManager bm(64);
-    bm.set_audit(&aud, "decode0");
+    bm.set_probe(&probe, probe.add_owner("decode0", "decode0"));
     ASSERT_TRUE(bm.allocate(1, 100));
-    bm.set_audit(nullptr, "");
+    bm.set_probe(nullptr, obs::kNoOwner);
     ASSERT_TRUE(bm.allocate(2, 100)); // invisible to the shadow ledger
-    bm.set_audit(&aud, "decode0");
+    bm.set_probe(&probe, probe.add_owner("decode0", "decode0"));
     expect_violation("kv-conservation", [&] { bm.allocate(3, 16); });
 }
 
 TEST(AuditKv, CapacityRejectionIsNotAViolation)
 {
     sim::Simulator s;
-    au::SimAuditor aud(s, repro_cfg());
+    obs::Probe probe;
+    au::SimAuditor aud(s, probe, repro_cfg());
     kv::BlockManager bm(4, 16);
-    bm.set_audit(&aud, "decode0");
+    bm.set_probe(&probe, probe.add_owner("decode0", "decode0"));
     ASSERT_TRUE(bm.allocate(1, 64));  // all 4 blocks
     EXPECT_FALSE(bm.allocate(2, 16)); // clean rejection
     EXPECT_FALSE(bm.grow(1, 80));     // clean rejection
@@ -205,9 +251,10 @@ TEST(AuditKv, CapacityRejectionIsNotAViolation)
 TEST(AuditSwap, DoubleSwapOutCaught)
 {
     sim::Simulator s;
-    au::SimAuditor aud(s, repro_cfg());
+    obs::Probe probe;
+    au::SimAuditor aud(s, probe, repro_cfg());
     kv::SwapPool pool(1e9, 1e4);
-    pool.set_audit(&aud, "decode0");
+    pool.set_probe(&probe, probe.add_owner("decode0", "decode0"));
     ASSERT_TRUE(pool.swap_out(1, 100));
     expect_violation("swap-double-out", [&] { pool.swap_out(1, 100); });
 }
@@ -215,18 +262,20 @@ TEST(AuditSwap, DoubleSwapOutCaught)
 TEST(AuditSwap, SwapInOfNonResidentCaught)
 {
     sim::Simulator s;
-    au::SimAuditor aud(s, repro_cfg());
+    obs::Probe probe;
+    au::SimAuditor aud(s, probe, repro_cfg());
     kv::SwapPool pool(1e9, 1e4);
-    pool.set_audit(&aud, "decode0");
+    pool.set_probe(&probe, probe.add_owner("decode0", "decode0"));
     expect_violation("swap-in-unknown", [&] { pool.swap_in(5); });
 }
 
 TEST(AuditSwap, PoolFullRejectionIsNotAViolation)
 {
     sim::Simulator s;
-    au::SimAuditor aud(s, repro_cfg());
+    obs::Probe probe;
+    au::SimAuditor aud(s, probe, repro_cfg());
     kv::SwapPool pool(1e6, 1e4); // room for 100 tokens
-    pool.set_audit(&aud, "decode0");
+    pool.set_probe(&probe, probe.add_owner("decode0", "decode0"));
     ASSERT_TRUE(pool.swap_out(1, 100));
     EXPECT_FALSE(pool.swap_out(2, 1)); // full: clean rejection
     pool.swap_in(1);
@@ -240,9 +289,10 @@ TEST(AuditSwap, PoolFullRejectionIsNotAViolation)
 TEST(AuditTransfer, AppendToCompletedTransferCaught)
 {
     sim::Simulator s;
-    au::SimAuditor aud(s, repro_cfg());
+    obs::Probe probe;
+    au::SimAuditor aud(s, probe, repro_cfg());
     hw::Channel chan(s, {hw::LinkType::PCIeSwitch, 1e9, 1e-5}, "p2d");
-    chan.set_audit(&aud);
+    chan.set_probe(&probe, "interconnect", "p2d");
     bool done = false;
     hw::TransferId id = chan.submit(1e6, [&] { done = true; });
     s.run();
@@ -256,9 +306,10 @@ TEST(AuditTransfer, CompletionRespectsLinkCapacity)
     // Clean completions (including one with a mid-flight append) pass
     // the capacity and byte-conservation checks.
     sim::Simulator s;
-    au::SimAuditor aud(s, repro_cfg());
+    obs::Probe probe;
+    au::SimAuditor aud(s, probe, repro_cfg());
     hw::Channel chan(s, {hw::LinkType::PCIeSwitch, 1e9, 1e-5}, "p2d");
-    chan.set_audit(&aud);
+    chan.set_probe(&probe, "interconnect", "p2d");
     int done = 0;
     hw::TransferId a = chan.submit(5e6, [&] { ++done; });
     chan.submit(2e6, [&] { ++done; });
@@ -276,18 +327,21 @@ TEST(AuditTransfer, CompletionRespectsLinkCapacity)
 TEST(AuditCoordinator, DispatchIntoTooFewSlotsCaught)
 {
     sim::Simulator s;
-    au::SimAuditor aud(s, repro_cfg());
-    expect_violation("dispatch-slots", [&] { aud.on_dispatch(3, 512, 100); });
+    obs::Probe probe;
+    au::SimAuditor aud(s, probe, repro_cfg());
+    expect_violation("dispatch-slots",
+                     [&] { report_dispatch(probe, 3, 512, 100); });
 }
 
 TEST(AuditCoordinator, RescheduleBelowTriggerCaught)
 {
     sim::Simulator s;
-    au::SimAuditor aud(s, repro_cfg());
-    aud.on_reschedule(1, 0.95, 0.9); // legal
+    obs::Probe probe;
+    au::SimAuditor aud(s, probe, repro_cfg());
+    report_reschedule(probe, 1, 0.95, 0.9); // legal
     EXPECT_TRUE(aud.ok());
     expect_violation("reschedule-trigger",
-                     [&] { aud.on_reschedule(2, 0.5, 0.9); });
+                     [&] { report_reschedule(probe, 2, 0.5, 0.9); });
 }
 
 // ---------------------------------------------------------------------
@@ -297,7 +351,8 @@ TEST(AuditCoordinator, RescheduleBelowTriggerCaught)
 TEST(AuditDecodeGroup, ConsistentGroupPasses)
 {
     sim::Simulator s;
-    au::SimAuditor aud(s, repro_cfg());
+    obs::Probe probe;
+    au::SimAuditor aud(s, probe, repro_cfg());
     eng::DecodeGroup g;
     wl::Request a, b;
     a.id = 1;
@@ -308,9 +363,9 @@ TEST(AuditDecodeGroup, ConsistentGroupPasses)
     g.add(&b);
     eng::set_generated(a, 3, &g);
     kv::BlockManager bm(64, 16);
-    std::vector<au::DecodeMemberClock> view;
+    std::vector<obs::DecodeMemberClock> view;
     g.audit_view(bm, view);
-    aud.on_decode_group("d0", g.id(), view, g.sum_context());
+    report_group(probe, g, view, g.sum_context());
     EXPECT_TRUE(aud.ok());
     EXPECT_EQ(aud.events_audited(), 2u); // one clock check per member
 }
@@ -318,15 +373,16 @@ TEST(AuditDecodeGroup, ConsistentGroupPasses)
 TEST(AuditDecodeGroup, ForeignTagCaught)
 {
     sim::Simulator s;
-    au::SimAuditor aud(s, repro_cfg());
+    obs::Probe probe;
+    au::SimAuditor aud(s, probe, repro_cfg());
     eng::DecodeGroup g, other;
     wl::Request a;
     a.id = 7;
     a.prompt_tokens = 10;
     other.add(&a); // a runs in `other` but is listed in g below
-    std::vector<au::DecodeMemberClock> members{{&a}};
+    std::vector<obs::DecodeMemberClock> members{{&a}};
     auto v = expect_violation("decode-group-membership", [&] {
-        aud.on_decode_group("d0", g.id(), members, 10);
+        report_group(probe, g, members, 10);
     });
     EXPECT_EQ(v.req, 7u);
 }
@@ -334,40 +390,43 @@ TEST(AuditDecodeGroup, ForeignTagCaught)
 TEST(AuditDecodeGroup, DuplicateMemberCaught)
 {
     sim::Simulator s;
-    au::SimAuditor aud(s, repro_cfg());
+    obs::Probe probe;
+    au::SimAuditor aud(s, probe, repro_cfg());
     eng::DecodeGroup g;
     wl::Request a;
     a.id = 3;
     a.prompt_tokens = 10;
     g.add(&a);
-    std::vector<au::DecodeMemberClock> members{{&a}, {&a}};
+    std::vector<obs::DecodeMemberClock> members{{&a}, {&a}};
     expect_violation("decode-group-membership", [&] {
-        aud.on_decode_group("d0", g.id(), members, 20);
+        report_group(probe, g, members, 20);
     });
 }
 
 TEST(AuditDecodeGroup, StaleContextSumCaught)
 {
     sim::Simulator s;
-    au::SimAuditor aud(s, repro_cfg());
+    obs::Probe probe;
+    au::SimAuditor aud(s, probe, repro_cfg());
     eng::DecodeGroup g;
     wl::Request a;
     a.id = 4;
     a.prompt_tokens = 10;
     g.add(&a);
     kv::BlockManager bm(64, 16);
-    std::vector<au::DecodeMemberClock> view;
+    std::vector<obs::DecodeMemberClock> view;
     g.audit_view(bm, view);
     // A cached sum five tokens off the members' recomputed contexts.
     expect_violation("decode-group-sum", [&] {
-        aud.on_decode_group("d0", g.id(), view, g.sum_context() + 5);
+        report_group(probe, g, view, g.sum_context() + 5);
     });
 }
 
 TEST(AuditFinishRun, TaggedTerminalRequestCaught)
 {
     sim::Simulator s;
-    au::SimAuditor aud(s, repro_cfg());
+    obs::Probe probe;
+    au::SimAuditor aud(s, probe, repro_cfg());
     eng::DecodeGroup g;
     wl::Request r;
     r.id = 9;
@@ -389,7 +448,8 @@ TEST(AuditFinishRun, TokenOverrunAndIncompleteFinishCaught)
     sim::Simulator s;
     au::AuditConfig cfg = repro_cfg();
     cfg.fail_fast = false; // accumulate: several violations at once
-    au::SimAuditor aud(s, cfg);
+    obs::Probe probe;
+    au::SimAuditor aud(s, probe, cfg);
 
     wl::Request over;
     over.id = 1;
@@ -415,7 +475,8 @@ TEST(AuditFinishRun, TokenOverrunAndIncompleteFinishCaught)
 TEST(AuditFinishRun, MiscountedRunAccountingCaught)
 {
     sim::Simulator s;
-    au::SimAuditor aud(s, repro_cfg());
+    obs::Probe probe;
+    au::SimAuditor aud(s, probe, repro_cfg());
     wl::Request r;
     r.id = 1;
     r.state = RequestState::WaitingDecode;
@@ -426,7 +487,8 @@ TEST(AuditFinishRun, MiscountedRunAccountingCaught)
 TEST(AuditFinishRun, OrderedTimestampsPass)
 {
     sim::Simulator s;
-    au::SimAuditor aud(s, repro_cfg());
+    obs::Probe probe;
+    au::SimAuditor aud(s, probe, repro_cfg());
     wl::Request r;
     r.id = 1;
     r.output_tokens = 5;
@@ -446,7 +508,8 @@ TEST(AuditFinishRun, OrderedTimestampsPass)
 TEST(AuditFinishRun, BackwardsTimestampsCaught)
 {
     sim::Simulator s;
-    au::SimAuditor aud(s, repro_cfg());
+    obs::Probe probe;
+    au::SimAuditor aud(s, probe, repro_cfg());
     wl::Request r;
     r.id = 1;
     r.output_tokens = 5;
@@ -468,9 +531,10 @@ TEST(AuditReport, NonFailFastAccumulates)
     sim::Simulator s;
     au::AuditConfig cfg = repro_cfg();
     cfg.fail_fast = false;
-    au::SimAuditor aud(s, cfg);
+    obs::Probe probe;
+    au::SimAuditor aud(s, probe, cfg);
     kv::BlockManager bm(64);
-    bm.set_audit(&aud, "gpu0");
+    bm.set_probe(&probe, probe.add_owner("gpu0", "gpu0"));
     bm.release(99); // double free #1
     bm.release(98); // double free #2
     EXPECT_FALSE(aud.ok());
@@ -489,16 +553,18 @@ TEST(AuditReport, NoReproLineWithoutReproConfig)
     au::AuditConfig cfg;
     cfg.repro_seed = 42;
     cfg.fail_fast = false;
-    au::SimAuditor quiet(s, cfg);
+    obs::Probe quiet_probe;
+    au::SimAuditor quiet(s, quiet_probe, cfg);
     kv::BlockManager bm(64);
-    bm.set_audit(&quiet, "gpu0");
+    bm.set_probe(&quiet_probe, quiet_probe.add_owner("gpu0", "gpu0"));
     bm.release(99);
     EXPECT_EQ(quiet.report().find("repro"), std::string::npos)
         << quiet.report();
 
     cfg.fail_fast = true;
-    au::SimAuditor loud(s, cfg);
-    bm.set_audit(&loud, "gpu0");
+    obs::Probe loud_probe;
+    au::SimAuditor loud(s, loud_probe, cfg);
+    bm.set_probe(&loud_probe, loud_probe.add_owner("gpu0", "gpu0"));
     try {
         bm.release(98);
         ADD_FAILURE() << "expected a kv-double-free violation";

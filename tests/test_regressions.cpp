@@ -308,7 +308,8 @@ TEST(Regression, SwapDisabledNeverSwaps)
 TEST(Regression, MigrationCancelledByFinishLeavesNoResidue)
 {
     sim::Simulator s;
-    windserve::audit::SimAuditor aud(s);
+    windserve::obs::Probe probe;
+    windserve::audit::SimAuditor aud(s, probe);
     md::CostModel cost(md::ModelSpec::opt_13b(), hw::GpuSpec::a800_80g(),
                        {2, 1});
     eng::InstanceConfig dc;
@@ -327,9 +328,9 @@ TEST(Regression, MigrationCancelledByFinishLeavesNoResidue)
                                md::ModelSpec::opt_13b(), {});
     windserve::kvcache::BackupRegistry reg;
     tr::MigrationManager mig(s, xfer, decode, prefill, reg);
-    decode.set_audit(&aud);
-    prefill.set_audit(&aud);
-    mig.set_audit(&aud);
+    decode.set_probe(&probe);
+    prefill.set_probe(&probe);
+    mig.set_probe(&probe);
     decode.callbacks.on_step = [&] { mig.on_source_step(); };
     decode.callbacks.on_finished = [&](wl::Request *r) {
         mig.on_request_finished(r);
@@ -363,7 +364,8 @@ TEST(Regression, MigrationCancelledByFinishLeavesNoResidue)
 TEST(Regression, MidPassAdmissionEarnsNoToken)
 {
     sim::Simulator s;
-    windserve::audit::SimAuditor aud(s);
+    windserve::obs::Probe probe;
+    windserve::audit::SimAuditor aud(s, probe);
     md::CostModel cost(md::ModelSpec::opt_13b(), hw::GpuSpec::a800_80g(),
                        {2, 1});
     eng::InstanceConfig cfg;
@@ -371,7 +373,7 @@ TEST(Regression, MidPassAdmissionEarnsNoToken)
     cfg.exec_noise_sigma = 0.0;
     eng::Instance inst(s, cfg, cost, sim::Rng(1),
                        {hw::LinkType::HostPCIe, 20e9, 1e-6});
-    inst.set_audit(&aud);
+    inst.set_probe(&probe);
     auto a = decode_req(1, 512, 50, 0.0);
     auto b = decode_req(2, 512, 2, 0.0); // one token from finishing
     int steps = 0;

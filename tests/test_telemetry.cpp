@@ -382,11 +382,11 @@ TEST(DecisionJournal, DispatchDecisionsCarryCandidatesAndScores)
     auto sys = instrumented_system(cfg);
     const obs::DecisionJournal &j = sys->telemetry()->journal_data();
 
-    ASSERT_GT(j.count(obs::DecisionKind::Dispatch), 0u);
+    ASSERT_GT(j.count(obs::ProbeKind::Dispatch), 0u);
     // Every request got exactly one dispatch decision.
-    EXPECT_EQ(j.count(obs::DecisionKind::Dispatch), cfg.num_requests);
+    EXPECT_EQ(j.count(obs::ProbeKind::Dispatch), cfg.num_requests);
     for (const obs::Decision &d : j.entries()) {
-        if (d.kind != obs::DecisionKind::Dispatch)
+        if (d.kind != obs::ProbeKind::Dispatch)
             continue;
         ASSERT_EQ(d.candidates.size(), 2u);
         EXPECT_EQ(d.candidates[0].target, "prefill");
@@ -400,7 +400,7 @@ TEST(DecisionJournal, DispatchDecisionsCarryCandidatesAndScores)
     const auto first = j.entries().front();
     auto hist = j.for_request(first.request);
     ASSERT_FALSE(hist.empty());
-    EXPECT_EQ(hist.front()->kind, obs::DecisionKind::Dispatch);
+    EXPECT_EQ(hist.front()->kind, obs::ProbeKind::Dispatch);
 
     // CSV export: header plus one row per (decision, candidate).
     auto lines = split_lines(j.csv());
@@ -429,11 +429,11 @@ TEST(DecisionJournal, ReschedulingUnderMemoryPressureIsJournaled)
 
     auto sys = instrumented_system(cfg);
     const obs::DecisionJournal &j = sys->telemetry()->journal_data();
-    ASSERT_GT(j.count(obs::DecisionKind::Reschedule), 0u);
+    ASSERT_GT(j.count(obs::ProbeKind::Reschedule), 0u);
 
     bool saw_migration = false;
     for (const obs::Decision &d : j.entries()) {
-        if (d.kind != obs::DecisionKind::Reschedule)
+        if (d.kind != obs::ProbeKind::Reschedule)
             continue;
         ASSERT_EQ(d.candidates.size(), 1u);
         EXPECT_EQ(d.candidates[0].target, "migrate-to-prefill");
@@ -476,9 +476,9 @@ TEST(DecisionJournal, FaultRedispatchIsJournaledWithFaultCounters)
     auto sys = instrumented_system(cfg);
     const obs::Telemetry *tel = sys->telemetry();
     const obs::DecisionJournal &j = tel->journal_data();
-    ASSERT_GT(j.count(obs::DecisionKind::Redispatch), 0u);
+    ASSERT_GT(j.count(obs::ProbeKind::Redispatch), 0u);
     for (const obs::Decision &d : j.entries()) {
-        if (d.kind != obs::DecisionKind::Redispatch)
+        if (d.kind != obs::ProbeKind::Redispatch)
             continue;
         ASSERT_EQ(d.candidates.size(), 2u);
         EXPECT_EQ(d.candidates[0].target, "resume-backup");

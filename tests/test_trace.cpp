@@ -408,10 +408,14 @@ TEST(Trace, RunOptionsTracingAttachesOnce)
     auto *first = sys->trace();
     ASSERT_NE(first, nullptr);
 
+    ASSERT_NE(sys->probe(), nullptr);
+    EXPECT_EQ(sys->probe()->num_subscribers(), 1u);
+
     // A second tracing run on the same system reuses the recorder
-    // instead of attaching a second one.
+    // instead of attaching a second one, and never subscribes it twice.
     sys->run(harness::make_trace(cfg), opts);
     EXPECT_EQ(sys->trace(), first);
+    EXPECT_EQ(sys->probe()->num_subscribers(), 1u);
 }
 
 TEST(Trace, RequestCsvMatchesResultsSchema)
